@@ -104,17 +104,36 @@ impl BenchSuiteResult {
         }
     }
 
-    /// Compare against a committed baseline: any case whose
-    /// `events_per_sec` fell below `threshold` times the baseline's is a
-    /// regression. Cases present on only one side are ignored (workloads
-    /// may be added over time); returns human-readable violations.
+    /// Compare against a committed baseline; returns human-readable
+    /// violations. A baseline case is violated when it is missing from
+    /// this run, when its `makespan_s` differs in any bit or its
+    /// `sim_events` differs at all (the suite is deterministic, so either
+    /// means the simulated results changed), or when its `events_per_sec`
+    /// fell below `threshold` times the baseline's. Cases only in this run
+    /// are ignored (workloads may be added over time).
     #[must_use]
     pub fn regressions_vs(&self, baseline: &BenchSuiteResult, threshold: f64) -> Vec<String> {
         let mut violations = Vec::new();
-        for case in &self.cases {
-            let Some(base) = baseline.cases.iter().find(|b| b.name == case.name) else {
+        for base in &baseline.cases {
+            let Some(case) = self.cases.iter().find(|c| c.name == base.name) else {
+                violations.push(format!(
+                    "{}: baseline case missing from this run",
+                    base.name
+                ));
                 continue;
             };
+            if case.makespan_s.to_bits() != base.makespan_s.to_bits() {
+                violations.push(format!(
+                    "{}: makespan {:e} s differs from baseline {:e} s",
+                    case.name, case.makespan_s, base.makespan_s
+                ));
+            }
+            if case.sim_events != base.sim_events {
+                violations.push(format!(
+                    "{}: {} events differ from baseline {} events",
+                    case.name, case.sim_events, base.sim_events
+                ));
+            }
             if base.events_per_sec > 0.0 && case.events_per_sec < threshold * base.events_per_sec {
                 violations.push(format!(
                     "{}: {:.0} events/s < {:.0}% of baseline {:.0} events/s",
@@ -505,9 +524,8 @@ mod tests {
         assert!(suite.aggregate_events_per_sec() > 0.0);
     }
 
-    #[test]
-    fn regression_check_flags_slowdowns_only() {
-        let case = |name: &str, eps: f64| CaseResult {
+    fn case(name: &str, eps: f64) -> CaseResult {
+        CaseResult {
             name: name.to_string(),
             nodes: 16,
             transfers: 10,
@@ -516,20 +534,58 @@ mod tests {
             makespan_s: 1.0,
             sim_events: 1000,
             events_per_sec: eps,
-        };
-        let baseline = BenchSuiteResult {
+        }
+    }
+
+    fn suite(cases: Vec<CaseResult>) -> BenchSuiteResult {
+        BenchSuiteResult {
             format: BENCH_FORMAT.to_string(),
             suite: "small".to_string(),
             milestone: "base".to_string(),
-            cases: vec![case("a", 1000.0), case("b", 1000.0), case("only-base", 1.0)],
-        };
-        let current = BenchSuiteResult {
-            cases: vec![case("a", 900.0), case("b", 700.0), case("only-new", 1.0)],
-            ..baseline.clone()
-        };
+            cases,
+        }
+    }
+
+    #[test]
+    fn regression_check_flags_slowdowns_only() {
+        let baseline = suite(vec![case("a", 1000.0), case("b", 1000.0)]);
+        let current = suite(vec![
+            case("a", 900.0),
+            case("b", 700.0),
+            case("only-new", 1.0),
+        ]);
         let violations = current.regressions_vs(&baseline, 0.8);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].starts_with("b:"), "{violations:?}");
+    }
+
+    #[test]
+    fn regression_check_flags_a_missing_baseline_case() {
+        let baseline = suite(vec![case("a", 1000.0), case("only-base", 1000.0)]);
+        let current = suite(vec![case("a", 1000.0)]);
+        let violations = current.regressions_vs(&baseline, 0.8);
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].starts_with("only-base:"), "{violations:?}");
+    }
+
+    #[test]
+    fn regression_check_flags_a_makespan_differing_in_one_bit() {
+        let baseline = suite(vec![case("a", 1000.0)]);
+        let mut drifted = case("a", 1000.0);
+        drifted.makespan_s = f64::from_bits(1.0f64.to_bits() + 1);
+        let violations = suite(vec![drifted]).regressions_vs(&baseline, 0.8);
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].contains("makespan"), "{violations:?}");
+    }
+
+    #[test]
+    fn regression_check_flags_changed_event_counts() {
+        let baseline = suite(vec![case("a", 1000.0)]);
+        let mut drifted = case("a", 1000.0);
+        drifted.sim_events += 1;
+        let violations = suite(vec![drifted]).regressions_vs(&baseline, 0.8);
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].contains("events differ"), "{violations:?}");
     }
 
     #[test]

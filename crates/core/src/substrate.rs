@@ -615,27 +615,23 @@ impl Substrate for ElectricalSubstrate {
     }
 
     fn execute(&mut self, schedule: &StepSchedule) -> Result<RunReport> {
-        let steps: Vec<Vec<StepTransfer>> = schedule
-            .steps()
-            .iter()
-            .map(|step| {
-                step.iter()
-                    .map(|t| StepTransfer {
-                        src: t.src.0,
-                        dst: t.dst.0,
-                        bytes: t.bytes,
-                    })
-                    .collect()
+        // Steps are mapped on the fly: a copy of the whole schedule would
+        // cost as much memory as the schedule itself.
+        let steps = schedule.steps().iter().map(|step| {
+            step.iter().map(|t| StepTransfer {
+                src: t.src.0,
+                dst: t.dst.0,
+                bytes: t.bytes,
             })
-            .collect();
-        let report = run_steps(&self.net, &steps, self.step_overhead_s)?;
+        });
+        let report = run_steps(&self.net, steps, self.step_overhead_s)?;
         Ok(RunReport {
             substrate: "electrical".into(),
             total_time_s: report.total_time_s,
             steps: report
                 .step_times_s
                 .iter()
-                .zip(&steps)
+                .zip(schedule.steps())
                 .map(|(&duration_s, step)| StepTiming {
                     duration_s,
                     transfers: step.len(),

@@ -223,8 +223,9 @@ impl<'a> FluidEngine<'a> {
             if !f.release_s.is_finite() || f.release_s < 0.0 {
                 return Err(NetError::BadConfig("release time must be finite and >= 0"));
             }
-            routes.push(self.net.route(f.src, f.dst)?);
-            latencies.push(self.net.route_latency(f.src, f.dst)?);
+            let route = self.net.route(f.src, f.dst)?;
+            latencies.push(self.net.path_latency(&route));
+            routes.push(route);
         }
         for (bi, f) in batch.iter().enumerate() {
             let i = base + bi;

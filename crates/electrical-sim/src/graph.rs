@@ -101,26 +101,37 @@ impl Network {
 
     /// Route a flow, returning the directed links it crosses in order.
     pub fn route(&self, src: usize, dst: usize) -> Result<Vec<LinkId>> {
+        let mut route = Vec::new();
+        self.route_into(src, dst, &mut route)?;
+        Ok(route)
+    }
+
+    /// [`Network::route`] into a caller-owned buffer, which is cleared
+    /// first: a loop routing many flows can reuse one allocation per flow
+    /// slot. Fixed-length routes reserve exactly their length, so a fresh
+    /// buffer holds no spare capacity.
+    pub(crate) fn route_into(&self, src: usize, dst: usize, out: &mut Vec<LinkId>) -> Result<()> {
         self.check_host(src)?;
         self.check_host(dst)?;
         if src == dst {
             return Err(NetError::SelfFlow(src));
         }
+        out.clear();
         let n = self.hosts;
-        Ok(match &self.router {
-            Router::Star => vec![LinkId(2 * src), LinkId(2 * dst + 1)],
+        match &self.router {
+            Router::Star => push_exact(out, [LinkId(2 * src), LinkId(2 * dst + 1)]),
             Router::Ring => {
                 let cw = (dst + n - src) % n;
                 let ccw = n - cw;
                 if cw <= ccw {
-                    (0..cw).map(|k| LinkId((src + k) % n)).collect()
+                    out.reserve_exact(cw);
+                    out.extend((0..cw).map(|k| LinkId((src + k) % n)));
                 } else {
-                    (0..ccw)
-                        .map(|k| LinkId(n + (src + n - 1 - k) % n))
-                        .collect()
+                    out.reserve_exact(ccw);
+                    out.extend((0..ccw).map(|k| LinkId(n + (src + n - 1 - k) % n)));
                 }
             }
-            Router::FullMesh => vec![LinkId(src * n + dst)],
+            Router::FullMesh => push_exact(out, [LinkId(src * n + dst)]),
             Router::FatTree {
                 edges,
                 hosts_per_edge,
@@ -136,15 +147,18 @@ impl Network {
                 let edge_up = |e: usize, s: usize| LinkId(2 * n + 2 * (e * spines + s));
                 let edge_down = |e: usize, s: usize| LinkId(2 * n + 2 * (e * spines + s) + 1);
                 if e_src == e_dst {
-                    vec![host_up(src), host_down(dst)]
+                    push_exact(out, [host_up(src), host_down(dst)]);
                 } else {
                     let s = (src + dst) % spines; // static ECMP hash
-                    vec![
-                        host_up(src),
-                        edge_up(e_src, s),
-                        edge_down(e_dst, s),
-                        host_down(dst),
-                    ]
+                    push_exact(
+                        out,
+                        [
+                            host_up(src),
+                            edge_up(e_src, s),
+                            edge_down(e_dst, s),
+                            host_down(dst),
+                        ],
+                    );
                 }
             }
             Router::Torus2D { rows, cols } => {
@@ -153,7 +167,6 @@ impl Network {
                 let west = |h: usize| LinkId(4 * h + 1);
                 let south = |h: usize| LinkId(4 * h + 2);
                 let north = |h: usize| LinkId(4 * h + 3);
-                let mut route = Vec::new();
                 let (mut r, mut c) = (src / cols, src % cols);
                 let (tr, tc) = (dst / cols, dst % cols);
                 // X dimension first, along the shorter wrap direction.
@@ -162,10 +175,10 @@ impl Network {
                 while c != tc {
                     let h = r * cols + c;
                     if right <= left {
-                        route.push(east(h));
+                        out.push(east(h));
                         c = (c + 1) % cols;
                     } else {
-                        route.push(west(h));
+                        out.push(west(h));
                         c = (c + cols - 1) % cols;
                     }
                 }
@@ -175,26 +188,31 @@ impl Network {
                 while r != tr {
                     let h = r * cols + c;
                     if down <= up {
-                        route.push(south(h));
+                        out.push(south(h));
                         r = (r + 1) % rows;
                     } else {
-                        route.push(north(h));
+                        out.push(north(h));
                         r = (r + rows - 1) % rows;
                     }
                 }
-                route
             }
-        })
+        }
+        Ok(())
     }
 
-    /// Sum of one-way latencies along the route of a flow.
-    pub fn route_latency(&self, src: usize, dst: usize) -> Result<f64> {
-        Ok(self
-            .route(src, dst)?
-            .iter()
-            .map(|&l| self.link(l).latency_s)
-            .sum())
+    /// Sum of one-way latencies along a route from [`Network::route`] —
+    /// the one expression every engine uses, so a latency is bit-identical
+    /// whichever caller routed the flow.
+    #[must_use]
+    pub fn path_latency(&self, route: &[LinkId]) -> f64 {
+        route.iter().map(|&l| self.link(l).latency_s).sum()
     }
+}
+
+/// Append a fixed-length route, reserving exactly its length.
+fn push_exact<const N: usize>(out: &mut Vec<LinkId>, links: [LinkId; N]) {
+    out.reserve_exact(N);
+    out.extend(links);
 }
 
 #[cfg(test)]
@@ -207,7 +225,7 @@ mod tests {
         let net = star_cluster(4, 1e9, 1e-6);
         assert_eq!(net.route(0, 3).unwrap(), vec![LinkId(0), LinkId(7)]);
         assert_eq!(net.route(3, 0).unwrap(), vec![LinkId(6), LinkId(1)]);
-        assert!((net.route_latency(0, 3).unwrap() - 2e-6).abs() < 1e-15);
+        assert!((net.path_latency(&net.route(0, 3).unwrap()) - 2e-6).abs() < 1e-15);
     }
 
     #[test]

@@ -5,12 +5,35 @@
 //! (the barrier all-reduce implementations impose), adds a per-message host
 //! overhead, and moves to the next step — mirroring how the paper times its
 //! SimGrid baselines.
+//!
+//! # Contention-free stages in closed form
+//!
+//! [`run_steps`] solves a step without the event engine when its payload
+//! flows cannot interact: no link is crossed twice across the whole step
+//! (every occurrence counts, so a route repeating a link disqualifies it),
+//! and every route's latency is bit-identical. Ring and recursive-doubling
+//! steps on a star cluster are of this kind — each host sends once and
+//! receives once. Such a step's makespan is the engine's own arithmetic
+//! replayed literally: one [`progressive_fill`] over the step's links and
+//! flows (ascending, one flow per link), a common latency pipe `t0`, and
+//! per flow `(t0 + bytes / rate).max(t0)`, folded with `f64::max`. The
+//! result is bit-identical to [`run_flows`]: no shared link couples rates,
+//! and equal latencies keep the engine's `EPS`-tolerant promotion from
+//! merging expiries with other events. Stalled flows and unroutable hosts
+//! yield the engine's errors in the engine's order; any other step — or a
+//! non-finite candidate — goes through [`run_flows`].
+//!
+//! [`run_dag`]'s barrier path stays on [`run_flows`]: its
+//! [`DagRunReport`] carries the engine's `events`, `solver_work` and
+//! `rate_recomputations` counters, which a closed form does not produce.
 
-use crate::error::Result;
+use crate::error::{NetError, Result};
 use crate::flow::FlowSpec;
-use crate::graph::Network;
+use crate::graph::{LinkId, Network};
+use crate::maxmin::progressive_fill;
 use crate::sim::{run_engine, run_engine_faulted, run_flows, EngineFault, EngineFlow};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use wrht_kernel::{FaultKind, FaultLimits, FaultPolicy, FaultScript};
 
 /// One transfer inside a step (sizes in bytes).
@@ -36,32 +59,46 @@ pub struct SteppedReport {
 /// Execute `steps` over `net`, paying `per_message_overhead_s` once per step
 /// (protocol/launch cost, analogous to the optical per-message overhead).
 ///
+/// `steps` is consumed lazily, one step at a time, so a caller holding its
+/// schedule in another shape maps it on the fly instead of copying it.
+///
 /// Zero-byte transfers are legal: the fluid model itself rejects empty
 /// flows, so they are skipped before solving, but a step that contains any
 /// transfer — even only zero-byte ones — still pays the per-step overhead
 /// (the launch happens regardless of payload). Only a literally empty step
 /// costs nothing. This mirrors the optical substrate, which charges its
 /// per-message overhead for zero-byte transfers too.
-pub fn run_steps(
-    net: &Network,
-    steps: &[Vec<StepTransfer>],
-    per_message_overhead_s: f64,
-) -> Result<SteppedReport> {
-    let mut step_times = Vec::with_capacity(steps.len());
+///
+/// Each step's makespan is bit-identical to [`run_flows`] on its payload
+/// flows. Contention-free steps with equal route latencies are solved in
+/// closed form (see the module docs); the rest run on the fluid engine.
+pub fn run_steps<I>(net: &Network, steps: I, per_message_overhead_s: f64) -> Result<SteppedReport>
+where
+    I: IntoIterator,
+    I::Item: IntoIterator,
+    <I::Item as IntoIterator>::Item: Borrow<StepTransfer>,
+{
+    let steps = steps.into_iter();
+    let mut step_times = Vec::with_capacity(steps.size_hint().0);
+    let mut stage = Stage::new(net);
     for step in steps {
-        if step.is_empty() {
+        let mut launched = false;
+        stage.flows.clear();
+        for t in step {
+            let t = t.borrow();
+            launched = true;
+            if t.bytes > 0 {
+                stage.flows.push(FlowSpec::new(t.src, t.dst, t.bytes));
+            }
+        }
+        if !launched {
             step_times.push(0.0);
             continue;
         }
-        let flows: Vec<FlowSpec> = step
-            .iter()
-            .filter(|t| t.bytes > 0)
-            .map(|t| FlowSpec::new(t.src, t.dst, t.bytes))
-            .collect();
-        let makespan_s = if flows.is_empty() {
+        let makespan_s = if stage.flows.is_empty() {
             0.0
         } else {
-            run_flows(net, &flows)?.makespan_s
+            stage.makespan()?
         };
         step_times.push(per_message_overhead_s + makespan_s);
     }
@@ -69,6 +106,130 @@ pub fn run_steps(
         total_time_s: step_times.iter().sum(),
         step_times_s: step_times,
     })
+}
+
+/// One barrier step's payload flows plus the scratch that solves it,
+/// reused across the steps of a [`run_steps`] call.
+struct Stage<'a> {
+    net: &'a Network,
+    flows: Vec<FlowSpec>,
+    /// Per-flow routes; the inner buffers are reused across steps.
+    routes: Vec<Vec<LinkId>>,
+    /// Links the step crosses, each once.
+    links: Vec<usize>,
+    /// Flow indices `0..flows.len()`.
+    ids: Vec<usize>,
+    rate: Vec<f64>,
+    // Indexed by link id.
+    link_used: Vec<bool>,
+    remaining: Vec<f64>,
+    active: Vec<usize>,
+}
+
+impl<'a> Stage<'a> {
+    fn new(net: &'a Network) -> Self {
+        let n_links = net.links().len();
+        Self {
+            net,
+            flows: Vec::new(),
+            routes: Vec::new(),
+            links: Vec::new(),
+            ids: Vec::new(),
+            rate: Vec::new(),
+            link_used: vec![false; n_links],
+            remaining: vec![0.0; n_links],
+            active: vec![0; n_links],
+        }
+    }
+
+    /// The makespan [`run_flows`] reports for the step's flows.
+    fn makespan(&mut self) -> Result<f64> {
+        match self.closed_form()? {
+            Some(makespan_s) => Ok(makespan_s),
+            None => Ok(run_flows(self.net, &self.flows)?.makespan_s),
+        }
+    }
+
+    /// The step's makespan without the event engine, or `None` when the
+    /// step does not qualify (see the module docs).
+    ///
+    /// Every line mirrors a step of the engine on this input: flows are
+    /// routed in index order (so the first routing error is the engine's),
+    /// each enters the latency pipe `0.0 + pipe` at time zero, all are
+    /// activated together at `t0` and solved in one progressive fill with
+    /// their rates starting at the engine's 0.0, the first stalled flow in
+    /// index order is reported, and each completes at its first candidate,
+    /// since no other flow shares a link to change its rate.
+    fn closed_form(&mut self) -> Result<Option<f64>> {
+        for &l in &self.links {
+            self.link_used[l] = false;
+        }
+        self.links.clear();
+        let m = self.flows.len();
+        if self.routes.len() < m {
+            self.routes.resize_with(m, Vec::new);
+        }
+        let mut latency: Option<f64> = None;
+        for (f, route) in self.flows.iter().zip(&mut self.routes) {
+            self.net.route_into(f.src, f.dst, route)?;
+            let l = self.net.path_latency(route);
+            if latency.is_some_and(|first| first.to_bits() != l.to_bits()) {
+                return Ok(None);
+            }
+            latency = Some(l);
+            for &link in route.iter() {
+                if std::mem::replace(&mut self.link_used[link.0], true) {
+                    return Ok(None);
+                }
+                self.links.push(link.0);
+            }
+        }
+        let Some(latency) = latency else {
+            return Ok(None);
+        };
+        // The engine's launch delay is 0.0 for run_flows' flows.
+        let pipe = 0.0 + latency;
+        let t0 = if pipe > 0.0 { 0.0 + pipe } else { 0.0 };
+
+        self.links.sort_unstable();
+        for &l in &self.links {
+            self.remaining[l] = self.net.links()[l].capacity_bps;
+            self.active[l] = 1;
+        }
+        self.ids.clear();
+        self.ids.extend(0..m);
+        self.rate.clear();
+        self.rate.resize(m, 0.0);
+        let mut work = 0;
+        progressive_fill(
+            &self.links,
+            &self.ids,
+            &self.routes,
+            &mut self.remaining,
+            &mut self.active,
+            &mut self.rate,
+            &mut work,
+        );
+        if let Some(k) = self.rate.iter().position(|&r| r.is_nan() || r <= 0.0) {
+            return Err(NetError::StalledFlow {
+                src: self.flows[k].src,
+                dst: self.flows[k].dst,
+            });
+        }
+        let mut makespan_s = 0.0f64;
+        for (f, &rate) in self.flows.iter().zip(&self.rate) {
+            let cand = if rate.is_finite() {
+                (t0 + f.bytes as f64 / rate).max(t0)
+            } else {
+                t0
+            };
+            if !cand.is_finite() {
+                return Ok(None);
+            }
+            makespan_s = makespan_s.max(cand);
+        }
+        Ok(Some(makespan_s))
+    }
 }
 
 /// One transfer of a dependency-aware schedule: a [`StepTransfer`] plus
@@ -527,6 +688,7 @@ pub fn run_dag_event_driven(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Router;
     use crate::topology::star_cluster;
 
     #[test]
@@ -559,7 +721,7 @@ mod tests {
     #[test]
     fn empty_schedule_is_a_noop() {
         let net = star_cluster(4, 1e9, 0.0);
-        let r = run_steps(&net, &[], 1e-6).unwrap();
+        let r = run_steps(&net, Vec::<Vec<StepTransfer>>::new(), 1e-6).unwrap();
         assert_eq!(r.total_time_s, 0.0);
         assert!(r.step_times_s.is_empty());
     }
@@ -880,5 +1042,68 @@ mod tests {
         ];
         let r = run_steps(&net, &[step], 0.0).unwrap();
         assert!((r.total_time_s - 1e-3).abs() < 1e-9);
+    }
+
+    /// Load `steps` (as `(src, dst, bytes)`) into a fresh stage one at a
+    /// time and return, per step, the closed form's verdict next to
+    /// `run_flows`' makespan.
+    fn closed_forms(net: &Network, steps: &[Vec<(usize, usize, u64)>]) -> Vec<(Option<f64>, f64)> {
+        let mut stage = Stage::new(net);
+        steps
+            .iter()
+            .map(|step| {
+                stage.flows.clear();
+                stage.flows.extend(
+                    step.iter()
+                        .filter(|t| t.2 > 0)
+                        .map(|&(src, dst, bytes)| FlowSpec::new(src, dst, bytes)),
+                );
+                let closed = stage.closed_form().unwrap();
+                (closed, run_flows(net, &stage.flows).unwrap().makespan_s)
+            })
+            .collect()
+    }
+
+    /// Figure 2's electrical baselines on its star cluster (100 Gb/s
+    /// ports, 0.5 us links, 4-byte elements): every ring all-reduce and
+    /// recursive-doubling step must take the closed form and match the
+    /// engine bit for bit, so the fast path cannot silently stop firing.
+    #[test]
+    fn fig2_ring_and_rd_steps_take_the_closed_form() {
+        let elems = 1_000_003;
+        for (n, schedule) in [
+            (128, collectives::ring::ring_allreduce(128, elems)),
+            (128, collectives::rd::recursive_doubling(128, elems)),
+            (96, collectives::rd::recursive_doubling(96, elems)),
+        ] {
+            let net = star_cluster(n, 100.0e9 / 8.0, 500e-9);
+            let steps = schedule.step_transfers(4);
+            for (k, (closed, engine)) in closed_forms(&net, &steps).into_iter().enumerate() {
+                let closed =
+                    closed.unwrap_or_else(|| panic!("{}: step {k} fell back", schedule.name));
+                assert_eq!(
+                    closed.to_bits(),
+                    engine.to_bits(),
+                    "{} step {k}",
+                    schedule.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn contended_or_unequal_latency_steps_fall_back() {
+        // Two flows into host 0 share its downlink.
+        let net = star_cluster(4, 1e9, 1e-6);
+        let incast = vec![vec![(1, 0, 1000), (2, 0, 2000)]];
+        assert_eq!(closed_forms(&net, &incast)[0].0, None);
+        // Host 3's uplink is 0.3 ns slower: expiries within EPS of each
+        // other are merged by the engine, so the step must fall back.
+        let mut links = net.links().to_vec();
+        links[6].latency_s += 3e-10;
+        let skewed = Network::from_parts(4, links, Router::Star);
+        let shift = vec![vec![(0, 1, 1000), (1, 2, 1000), (2, 3, 1000), (3, 0, 1000)]];
+        assert_eq!(closed_forms(&skewed, &shift)[0].0, None);
+        assert!(closed_forms(&net, &shift)[0].0.is_some());
     }
 }

@@ -320,8 +320,9 @@ pub(crate) fn run_engine_faulted(
         if !f.release_s.is_finite() || f.release_s < 0.0 {
             return Err(NetError::BadConfig("release time must be finite and >= 0"));
         }
-        routes.push(net.route(f.src, f.dst)?);
-        latencies.push(net.route_latency(f.src, f.dst)?);
+        let route = net.route(f.src, f.dst)?;
+        latencies.push(net.path_latency(&route));
+        routes.push(route);
     }
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut missing: Vec<usize> = vec![0; n];
@@ -845,8 +846,9 @@ pub fn run_flows_full_resolve(net: &Network, specs: &[FlowSpec]) -> Result<RunRe
                 dst: s.dst,
             });
         }
-        routes.push(net.route(s.src, s.dst)?);
-        latencies.push(net.route_latency(s.src, s.dst)?);
+        let route = net.route(s.src, s.dst)?;
+        latencies.push(net.path_latency(&route));
+        routes.push(route);
     }
 
     #[derive(Debug, Clone, Copy, PartialEq)]

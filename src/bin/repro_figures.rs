@@ -391,8 +391,9 @@ fn cmd_serve(cfg: &ExperimentConfig, results: &Path, threads: usize, models: &[d
 }
 
 /// Run the fixed perf suite and write `BENCH_v6[.small].json` into
-/// `out_dir`. With `check`, compare events/sec against the committed
-/// baseline at that path; returns `false` when a case regressed below 80%.
+/// `out_dir`. With `check`, compare against the committed baseline at that
+/// path; returns `false` when a baseline case is missing, its makespan or
+/// event count changed, or its events/sec regressed below 80%.
 fn cmd_bench(small: bool, check: Option<&Path>, out_dir: &Path) -> bool {
     let (scale, suite, file) = if small {
         (SuiteScale::small(), "small", "BENCH_v6.small.json")
@@ -440,7 +441,10 @@ fn cmd_bench(small: bool, check: Option<&Path>, out_dir: &Path) -> bool {
     };
     let violations = result.regressions_vs(&baseline, 0.8);
     if violations.is_empty() {
-        println!("bench check ok vs {} (threshold 80%)", base_path.display());
+        println!(
+            "bench check ok vs {} (makespans and events exact, events/s threshold 80%)",
+            base_path.display()
+        );
         true
     } else {
         for v in &violations {
