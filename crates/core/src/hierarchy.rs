@@ -485,7 +485,7 @@ impl<'a> Fabric<'a> {
     fn step(&mut self) -> Result<()> {
         match self {
             Fabric::Optical { eng, clock_s, .. } => {
-                if let Some(t) = eng.step() {
+                if let Some(t) = eng.step()? {
                     *clock_s = clock_s.max(t);
                 }
                 Ok(())

@@ -963,7 +963,7 @@ impl StreamEngine for OpticalStream {
     }
 
     fn step(&mut self) -> Result<()> {
-        self.eng.step();
+        self.eng.step()?;
         Ok(())
     }
 

@@ -1,12 +1,12 @@
 //! The streaming fluid engine.
 //!
 //! [`FluidEngine`] is the single execution engine behind every dependency-
-//! aware electrical run: the closed-set entry point
+//! aware electrical run: the closed-set entry points
 //! ([`crate::sim::run_engine`], reached through [`crate::runner::run_dag`]
-//! and friends) injects the whole flow list at time zero and pumps the
-//! engine to idle, while open-loop cluster services
-//! [`FluidEngine::inject`] each arriving job's flows into the *running*
-//! engine. The incremental per-component max-min re-solve, the lazy
+//! and friends, and [`crate::runner::run_dag_jobs_faulted`]) inject the
+//! whole flow list at time zero and pump the engine, while open-loop
+//! cluster services [`FluidEngine::inject`] each arriving job's flows into
+//! the *running* engine. The incremental per-component max-min re-solve, the lazy
 //! `remaining` bookkeeping and the one-completion-event-per-component
 //! discipline are shared, so a stream whose arrivals are all known up
 //! front is bit-exact with the closed path.
@@ -28,27 +28,66 @@
 //! *active* flow sets plus the affected contention component — not to the
 //! number of flows ever injected.
 //!
+//! # Faults
+//!
+//! [`FluidEngine::inject_faults`] schedules substrate-lowered
+//! [`FluidFault`]s through the same kernel. A fault batch is applied after
+//! the completions of its instant (a flow finishing at exactly the fault
+//! instant is finished, not failed): link factors scale capacities in the
+//! next component re-solve, a dark link (factor `0.0`) suspends its flows
+//! at rate zero instead of stalling the run, stragglers cap their flows'
+//! rates, and node failures fail every unsettled flow touching the node.
+//! An engine that never sees a fault runs exactly the clean arithmetic.
+//!
 //! The engine supports [`FluidEngine::snapshot`] /
 //! [`FluidEngine::restore`]: a versioned, serializable image of the flow
 //! table, pending kernel events and clock. Per-flow times are stored as
 //! IEEE-754 bit patterns so `INFINITY` sentinels and exact candidates
-//! survive JSON round-trips byte-identically.
+//! survive JSON round-trips byte-identically. Fault state (link factors,
+//! stragglers, abort counts) is not part of a snapshot.
 
 use crate::error::{NetError, Result};
 use crate::graph::{LinkId, Network};
 use crate::maxmin::progressive_fill;
-use crate::sim::{EngineFlow, EngineOutcome, EngineReport, Phase, EPS};
+use crate::sim::{EngineFlow, Phase, EPS};
 use serde::{Deserialize, Serialize};
-use wrht_kernel::EventKernel;
+use wrht_kernel::{EventKernel, FaultPolicy};
 
 /// Version tag of [`FluidEngineSnapshot`]; bump on any layout change.
 pub const SNAPSHOT_VERSION: u32 = 1;
+
+/// One substrate-lowered fault for [`FluidEngine::inject_faults`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum FluidFault {
+    /// Multiply the link's capacity by `factor` from the instant onward
+    /// (`0.0` = dark: flows crossing it are suspended, not aborted).
+    SetLinkFactor {
+        /// Link index in the network's link table.
+        link: usize,
+        /// Capacity multiplier.
+        factor: f64,
+    },
+    /// The node fails permanently; flows touching it can never complete.
+    NodeDown {
+        /// Failed host.
+        node: usize,
+    },
+    /// Flows touching the node get their allocated rate divided by
+    /// `slowdown` (the freed share is *not* redistributed to other flows).
+    Straggle {
+        /// Straggling host.
+        node: usize,
+        /// Rate divisor, `>= 1`.
+        slowdown: f64,
+    },
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 enum Ev {
     Release(usize),
     Timer(usize),
     Complete(usize),
+    Fault(FluidFault),
 }
 
 /// Versioned, serializable image of a [`FluidEngine`] mid-run.
@@ -148,6 +187,16 @@ pub struct FluidEngine<'a> {
     job_busy: Vec<bool>,
     busy_jobs: Vec<usize>,
     newly_active: Vec<usize>,
+    // Fault state, inert until `inject_faults`: per-link capacity factors,
+    // per-host straggle factors and per-flow abort counts (the last two
+    // empty until needed).
+    policy: FaultPolicy,
+    link_factor: Vec<f64>,
+    node_slow: Vec<f64>,
+    aborted: Vec<u32>,
+    n_failed: usize,
+    first_impact: Option<f64>,
+    fail_jobs: Vec<usize>,
 }
 
 impl<'a> FluidEngine<'a> {
@@ -199,6 +248,13 @@ impl<'a> FluidEngine<'a> {
             job_busy: Vec::new(),
             busy_jobs: Vec::new(),
             newly_active: Vec::new(),
+            policy: FaultPolicy::FailJob,
+            link_factor: vec![1.0; n_links],
+            node_slow: Vec::new(),
+            aborted: Vec::new(),
+            n_failed: 0,
+            first_impact: None,
+            fail_jobs: Vec::new(),
         }
     }
 
@@ -273,6 +329,28 @@ impl<'a> FluidEngine<'a> {
         Ok(base)
     }
 
+    /// Schedule faults, each at its absolute instant; faults sharing an
+    /// instant apply in slice order. `policy` decides what a node failure
+    /// does to the rest of its job (see [`FaultPolicy`]).
+    ///
+    /// # Errors
+    /// A fault instant that is non-finite or precedes the engine clock.
+    pub fn inject_faults(
+        &mut self,
+        faults: &[(f64, FluidFault)],
+        policy: FaultPolicy,
+    ) -> Result<()> {
+        self.policy = policy;
+        for &(at_s, fault) in faults {
+            self.kernel
+                .schedule_at(at_s, Ev::Fault(fault))
+                .map_err(|_| {
+                    NetError::BadConfig("fault instant must be finite and not precede the clock")
+                })?;
+        }
+        Ok(())
+    }
+
     /// Timestamp of the next pending event, if any. Events for freshly
     /// injected flows are only scheduled inside [`FluidEngine::step`]'s
     /// promotion scan, so this can overestimate right after an injection —
@@ -285,13 +363,15 @@ impl<'a> FluidEngine<'a> {
 
     /// Process the next event instant: promote newly eligible flows,
     /// re-solve the dirty contention component, pop the next live batch and
-    /// apply its completions. Returns the batch instant, or `None` when the
-    /// engine is idle (every injected flow done).
+    /// apply its completions, then its faults. Returns the batch instant,
+    /// or `None` when the engine is idle (every injected flow settled).
+    /// Flows stranded behind failed flows when the queue drains are marked
+    /// failed.
     ///
     /// # Errors
-    /// [`NetError::StalledFlow`] when a flow is frozen at rate zero, and
-    /// the closed path's "unreachable flows" error when the queue drains
-    /// with unfinished flows.
+    /// [`NetError::StalledFlow`] when a flow is frozen at rate zero off a
+    /// dark link, and the closed path's "unreachable flows" error when the
+    /// queue drains with unfinished flows and no failure to strand them.
     pub fn step(&mut self) -> Result<Option<f64>> {
         let now = self.kernel.now();
 
@@ -396,6 +476,7 @@ impl<'a> FluidEngine<'a> {
                                 live |= self.phase[i] == Phase::Active
                                     && self.cand[i].to_bits() == t.to_bits();
                             }
+                            Ev::Fault(_) => live = true,
                         }
                     }
                     if live {
@@ -405,7 +486,20 @@ impl<'a> FluidEngine<'a> {
             }
         };
         let Some(next) = batch_time else {
-            if self.n_done == self.flows.len() {
+            if self.n_failed > 0 {
+                // Survivors stranded behind failed flows (e.g. cross-job
+                // dependents under FailJob) are casualties, not a malformed
+                // DAG.
+                for k in 0..self.flows.len() {
+                    if !matches!(self.phase[k], Phase::Done | Phase::Failed) {
+                        self.phase[k] = Phase::Failed;
+                        self.n_failed += 1;
+                    }
+                }
+                self.unsettled.clear();
+                self.active.clear();
+            }
+            if self.live_flows() == 0 {
                 return Ok(None);
             }
             return Err(NetError::BadConfig("unreachable flows in dependency DAG"));
@@ -418,7 +512,9 @@ impl<'a> FluidEngine<'a> {
         // sums accumulate in closed-path index order.
         self.busy_jobs.clear();
         for &i in &self.active {
-            if self.rate[i].is_finite() {
+            // Suspended flows (rate zero on a dark link) neither transmit
+            // nor count as busy time.
+            if self.rate[i].is_finite() && self.rate[i] > 0.0 {
                 let j = self.flows[i].job;
                 if !self.job_busy[j] {
                     self.job_busy[j] = true;
@@ -470,7 +566,106 @@ impl<'a> FluidEngine<'a> {
             let phase = &self.phase;
             self.active.retain(|&i| phase[i] == Phase::Active);
         }
+        if self.batch.iter().any(|ev| matches!(ev, Ev::Fault(_))) {
+            self.apply_faults(next);
+        }
         Ok(Some(next))
+    }
+
+    /// Apply the batch's faults in batch order, after its completions.
+    fn apply_faults(&mut self, now: f64) {
+        for k in 0..self.batch.len() {
+            let Ev::Fault(fault) = self.batch[k] else {
+                continue;
+            };
+            match fault {
+                FluidFault::SetLinkFactor { link, factor } => {
+                    // A degrade that catches flows mid-flight is the fault's
+                    // first observable impact; a restore (factor rising) is
+                    // recovery, not impact.
+                    if factor < self.link_factor[link] && !self.flows_on_link[link].is_empty() {
+                        self.first_impact.get_or_insert(now);
+                    }
+                    self.link_factor[link] = factor;
+                    self.dirty.push(link);
+                }
+                FluidFault::Straggle { node, slowdown } => {
+                    if self.node_slow.is_empty() {
+                        self.node_slow = vec![1.0; self.net.hosts()];
+                    }
+                    let before = self.node_slow[node];
+                    self.node_slow[node] = before.max(slowdown);
+                    for &i in &self.active {
+                        let f = &self.flows[i];
+                        let other = if f.src == node { f.dst } else { f.src };
+                        // A transmitting flow slows down when the node now
+                        // dominates both its old factor and the other end's.
+                        if (f.src == node || f.dst == node)
+                            && self.node_slow[node] > before.max(self.node_slow[other])
+                        {
+                            self.first_impact.get_or_insert(now);
+                            self.dirty.extend(self.routes[i].iter().map(|l| l.0));
+                        }
+                    }
+                }
+                FluidFault::NodeDown { node } => {
+                    // Ascending index order lets failure cascade through
+                    // dependents that also touch the node in one sweep.
+                    for i in 0..self.flows.len() {
+                        let f = &self.flows[i];
+                        if (f.src != node && f.dst != node)
+                            || matches!(self.phase[i], Phase::Done | Phase::Failed)
+                        {
+                            continue;
+                        }
+                        if self.phase[i] == Phase::Active {
+                            self.aborted.resize(self.flows.len(), 0);
+                            self.aborted[i] += 1;
+                        }
+                        self.fail(i, now);
+                        if self.policy == FaultPolicy::FailJob {
+                            self.fail_jobs.push(self.flows[i].job);
+                        } else {
+                            for d in 0..self.dependents[i].len() {
+                                let dep = self.dependents[i][d];
+                                self.missing[dep] -= 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if !self.fail_jobs.is_empty() {
+            for i in 0..self.flows.len() {
+                if self.fail_jobs.contains(&self.flows[i].job)
+                    && !matches!(self.phase[i], Phase::Done | Phase::Failed)
+                {
+                    self.fail(i, now);
+                }
+            }
+            self.fail_jobs.clear();
+        }
+        let phase = &self.phase;
+        self.active.retain(|&i| phase[i] == Phase::Active);
+        self.unsettled.retain(|&i| {
+            matches!(
+                phase[i],
+                Phase::Blocked | Phase::Pending | Phase::Latency(_)
+            )
+        });
+    }
+
+    /// Fail an unsettled flow, pulling it off its links if transmitting.
+    fn fail(&mut self, i: usize, now: f64) {
+        if self.phase[i] == Phase::Active {
+            for &l in &self.routes[i] {
+                self.flows_on_link[l.0].retain(|&f| f != i);
+                self.dirty.push(l.0);
+            }
+        }
+        self.phase[i] = Phase::Failed;
+        self.n_failed += 1;
+        self.first_impact.get_or_insert(now);
     }
 
     fn activate(&mut self, i: usize) {
@@ -548,7 +743,7 @@ impl<'a> FluidEngine<'a> {
         if !self.comp_flows.is_empty() {
             self.recomputations += 1;
             for &l in &self.comp_links {
-                self.cap_scratch[l] = self.net.links()[l].capacity_bps;
+                self.cap_scratch[l] = self.net.links()[l].capacity_bps * self.link_factor[l];
                 self.count_scratch[l] = self.flows_on_link[l].len();
             }
             self.old_rate_scratch.clear();
@@ -563,19 +758,45 @@ impl<'a> FluidEngine<'a> {
                 &mut self.rate,
                 &mut self.solver_work,
             );
+            // Straggle cap: the node processes at 1/slowdown, and the share
+            // other flows could have claimed is left on the table (max-min
+            // redistribution would hide the straggler).
+            if !self.node_slow.is_empty() {
+                for &f in &self.comp_flows {
+                    let (src, dst) = (self.flows[f].src, self.flows[f].dst);
+                    let slow = self.node_slow[src].max(self.node_slow[dst]);
+                    if slow > 1.0 {
+                        self.rate[f] /= slow;
+                    }
+                }
+            }
             for (k, &f) in self.comp_flows.iter().enumerate() {
                 if self.rate[f].is_nan() || self.rate[f] <= 0.0 {
-                    return Err(NetError::StalledFlow {
-                        src: self.flows[f].src,
-                        dst: self.flows[f].dst,
-                    });
+                    // A dark link (flap in progress) suspends its flows:
+                    // progress freezes until the restoring fault dirties the
+                    // link again. Any other zero rate is a permanent stall.
+                    // wrht-analyze: allow(r6, reason = "exact-zero sentinel: suspension assigns the literal 0.0 rate, never a computed value")
+                    let zero_rate = self.rate[f] == 0.0;
+                    let link_factor = &self.link_factor;
+                    // wrht-analyze: allow(r6, reason = "exact-zero sentinel: a dark link's factor is the literal 0.0, never a computed value")
+                    let on_dark_link = self.routes[f].iter().any(|&l| link_factor[l.0] == 0.0);
+                    if !(zero_rate && on_dark_link) {
+                        return Err(NetError::StalledFlow {
+                            src: self.flows[f].src,
+                            dst: self.flows[f].dst,
+                        });
+                    }
                 }
                 if self.rate[f].to_bits() == self.old_rate_scratch[k].to_bits() {
                     continue;
                 }
                 self.remaining[f] -= self.old_rate_scratch[k] * (now - self.last_update[f]);
                 self.last_update[f] = now;
-                self.cand[f] = if self.rate[f].is_finite() {
+                // wrht-analyze: allow(r6, reason = "exact-zero sentinel: suspension writes the literal 0.0 rate, never a computed value")
+                self.cand[f] = if self.rate[f] == 0.0 {
+                    // Suspended: no completion candidate until restored.
+                    f64::INFINITY
+                } else if self.rate[f].is_finite() {
                     (now + self.remaining[f] / self.rate[f]).max(now)
                 } else {
                     now
@@ -627,16 +848,41 @@ impl<'a> FluidEngine<'a> {
         self.flows.len()
     }
 
-    /// Flows not yet done.
+    /// Flows neither done nor failed.
     #[must_use]
     pub fn live_flows(&self) -> usize {
-        self.flows.len() - self.n_done
+        self.flows.len() - self.n_done - self.n_failed
+    }
+
+    /// Was flow `i` failed by a fault (or stranded behind one)?
+    #[must_use]
+    pub fn failed(&self, i: usize) -> bool {
+        self.phase[i] == Phase::Failed
+    }
+
+    /// Times flow `i` was killed while actively transmitting.
+    #[must_use]
+    pub fn aborts(&self, i: usize) -> u32 {
+        self.aborted.get(i).copied().unwrap_or(0)
+    }
+
+    /// Instant a fault first failed, aborted or slowed a flow mid-flight
+    /// (a degrade or straggle catching active flows counts), if any.
+    #[must_use]
+    pub fn first_impact_s(&self) -> Option<f64> {
+        self.first_impact
     }
 
     /// `(start, finish)` window of flow `i` (zeros until settled).
     #[must_use]
     pub fn window(&self, i: usize) -> (f64, f64) {
         (self.start[i], self.finish[i])
+    }
+
+    /// Completion instant of the last finished flow, seconds.
+    #[must_use]
+    pub fn makespan(&self) -> f64 {
+        self.finish.iter().copied().fold(0.0f64, f64::max)
     }
 
     /// Rate solver invocations so far.
@@ -665,26 +911,6 @@ impl<'a> FluidEngine<'a> {
     /// Append and clear the indices of flows completed since the last call.
     pub fn drain_completed(&mut self, out: &mut Vec<usize>) {
         out.append(&mut self.completed);
-    }
-
-    /// Build the closed-set report (consumes the engine).
-    pub(crate) fn into_report(self) -> EngineReport {
-        let makespan = self.finish.iter().copied().fold(0.0f64, f64::max);
-        EngineReport {
-            makespan_s: makespan,
-            outcomes: self
-                .start
-                .iter()
-                .zip(&self.finish)
-                .map(|(&start_s, &finish_s)| EngineOutcome { start_s, finish_s })
-                .collect(),
-            rate_recomputations: self.recomputations,
-            solver_work: self.solver_work,
-            events: self.events_base + self.kernel.events_processed(),
-            job_active_s: self.job_active_s,
-            job_service_bytes: self.job_service_bytes,
-            job_peak_rate_bps: self.job_peak_rate,
-        }
     }
 
     /// Capture the full mutable state as a versioned snapshot. Completions

@@ -27,11 +27,12 @@
 //! [`DagRunReport`] carries the engine's `events`, `solver_work` and
 //! `rate_recomputations` counters, which a closed form does not produce.
 
+use crate::engine::{FluidEngine, FluidFault};
 use crate::error::{NetError, Result};
 use crate::flow::FlowSpec;
 use crate::graph::{LinkId, Network};
 use crate::maxmin::progressive_fill;
-use crate::sim::{run_engine, run_engine_faulted, run_flows, EngineFault, EngineFlow};
+use crate::sim::{run_engine, run_flows, EngineFlow};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use wrht_kernel::{FaultKind, FaultLimits, FaultPolicy, FaultScript};
@@ -430,16 +431,7 @@ pub fn run_dag_jobs(
     jobs: usize,
     per_message_overhead_s: f64,
 ) -> Result<TenantDagReport> {
-    if job_of.len() != flows.len() {
-        return Err(crate::error::NetError::BadConfig(
-            "job tag list must match the flow list",
-        ));
-    }
-    if job_of.iter().any(|&j| j >= jobs) {
-        return Err(crate::error::NetError::BadConfig(
-            "job tag out of range of the job count",
-        ));
-    }
+    check_job_tags(flows, job_of, jobs)?;
     if let Some(stages) = barrier_stages(flows) {
         // Keep the stepped fast path so single-tenant barrier DAGs stay
         // bit-exact with `run_dag`/`run_steps`; delivered bytes are exact,
@@ -456,7 +448,23 @@ pub fn run_dag_jobs(
             job_peak_rate_bps: vec![0.0; jobs],
         });
     }
-    let engine_flows: Vec<EngineFlow> = flows
+    let eng = run_engine(net, &engine_flows(flows, job_of, per_message_overhead_s))?;
+    Ok(tenant_report(&eng, flows.len(), jobs))
+}
+
+fn check_job_tags(flows: &[DagFlow], job_of: &[usize], jobs: usize) -> Result<()> {
+    if job_of.len() != flows.len() {
+        return Err(NetError::BadConfig("job tag list must match the flow list"));
+    }
+    if job_of.iter().any(|&j| j >= jobs) {
+        return Err(NetError::BadConfig("job tag out of range of the job count"));
+    }
+    Ok(())
+}
+
+/// Lower DAG transfers to engine flows tagged with their jobs.
+fn engine_flows(flows: &[DagFlow], job_of: &[usize], delay_s: f64) -> Vec<EngineFlow> {
+    flows
         .iter()
         .zip(job_of)
         .map(|(f, &job)| EngineFlow {
@@ -464,29 +472,35 @@ pub fn run_dag_jobs(
             dst: f.dst,
             bytes: f.bytes,
             release_s: f.release_s,
-            delay_s: per_message_overhead_s,
+            delay_s,
             deps: f.deps.clone(),
             job,
         })
-        .collect();
-    let r = run_engine(net, &engine_flows)?;
-    let pad = |mut v: Vec<f64>| {
+        .collect()
+}
+
+/// An event-engine run over `flows` flows in the tenant shape, job vectors
+/// padded to `jobs`.
+fn tenant_report(eng: &FluidEngine, flows: usize, jobs: usize) -> TenantDagReport {
+    let (active_s, service_bytes, peak_rate_bps) = eng.job_totals();
+    let pad = |v: &[f64]| {
+        let mut v = v.to_vec();
         v.resize(jobs, 0.0);
         v
     };
-    Ok(TenantDagReport {
+    TenantDagReport {
         report: DagRunReport {
-            makespan_s: r.makespan_s,
-            windows: r.outcomes.iter().map(|o| (o.start_s, o.finish_s)).collect(),
-            rate_recomputations: r.rate_recomputations,
-            solver_work: r.solver_work,
-            events: r.events,
+            makespan_s: eng.makespan(),
+            windows: (0..flows).map(|i| eng.window(i)).collect(),
+            rate_recomputations: eng.rate_recomputations(),
+            solver_work: eng.solver_work(),
+            events: eng.events(),
             barrier_fast_path: false,
         },
-        job_active_s: pad(r.job_active_s),
-        job_service_bytes: pad(r.job_service_bytes),
-        job_peak_rate_bps: pad(r.job_peak_rate_bps),
-    })
+        job_active_s: pad(active_s),
+        job_service_bytes: pad(service_bytes),
+        job_peak_rate_bps: pad(peak_rate_bps),
+    }
 }
 
 /// Result of a faulted dependency-aware run ([`run_dag_jobs_faulted`]).
@@ -538,16 +552,7 @@ pub fn run_dag_jobs_faulted(
     script: &FaultScript,
     policy: FaultPolicy,
 ) -> Result<FaultDagRunReport> {
-    if job_of.len() != flows.len() {
-        return Err(crate::error::NetError::BadConfig(
-            "job tag list must match the flow list",
-        ));
-    }
-    if job_of.iter().any(|&j| j >= jobs) {
-        return Err(crate::error::NetError::BadConfig(
-            "job tag out of range of the job count",
-        ));
-    }
+    check_job_tags(flows, job_of, jobs)?;
     let limits = FaultLimits {
         nodes: net.hosts(),
         wavelengths: None,
@@ -556,7 +561,7 @@ pub fn run_dag_jobs_faulted(
     script.validate(&limits)?;
     policy.validate()?;
 
-    let mut faults: Vec<(f64, EngineFault)> = Vec::new();
+    let mut faults: Vec<(f64, FluidFault)> = Vec::new();
     for ev in script.events() {
         match ev.kind {
             FaultKind::LinkDegrade { link, factor } => {
@@ -573,23 +578,23 @@ pub fn run_dag_jobs_faulted(
                                 FaultKind::LinkFlap { link: l, .. } if l == link)
                     });
                 if !lone_restore {
-                    faults.push((ev.at_s, EngineFault::SetLinkFactor { link, factor }));
+                    faults.push((ev.at_s, FluidFault::SetLinkFactor { link, factor }));
                 }
             }
             FaultKind::LinkFlap { link, down_s } => {
                 // Dark for `down_s`, then back to full capacity (a flap
                 // restore forgets any earlier degrade on the same link).
-                faults.push((ev.at_s, EngineFault::SetLinkFactor { link, factor: 0.0 }));
+                faults.push((ev.at_s, FluidFault::SetLinkFactor { link, factor: 0.0 }));
                 faults.push((
                     ev.at_s + down_s,
-                    EngineFault::SetLinkFactor { link, factor: 1.0 },
+                    FluidFault::SetLinkFactor { link, factor: 1.0 },
                 ));
             }
             FaultKind::NodeDown { node } => {
-                faults.push((ev.at_s, EngineFault::NodeDown { node }));
+                faults.push((ev.at_s, FluidFault::NodeDown { node }));
             }
             FaultKind::NodeStraggle { node, slowdown } => {
-                faults.push((ev.at_s, EngineFault::Straggle { node, slowdown }));
+                faults.push((ev.at_s, FluidFault::Straggle { node, slowdown }));
             }
             // Wavelengths are an optical concept; no electrical meaning.
             FaultKind::WavelengthDown { .. } | FaultKind::WavelengthUp { .. } => {}
@@ -607,46 +612,20 @@ pub fn run_dag_jobs_faulted(
         });
     }
 
-    let engine_flows: Vec<EngineFlow> = flows
-        .iter()
-        .zip(job_of)
-        .map(|(f, &job)| EngineFlow {
-            src: f.src,
-            dst: f.dst,
-            bytes: f.bytes,
-            release_s: f.release_s,
-            delay_s: per_message_overhead_s,
-            deps: f.deps.clone(),
-            job,
-        })
-        .collect();
-    let r = run_engine_faulted(net, &engine_flows, &faults, policy)?;
-    let pad = |mut v: Vec<f64>| {
-        v.resize(jobs, 0.0);
-        v
-    };
+    let mut eng = FluidEngine::new(net);
+    eng.inject(&engine_flows(flows, job_of, per_message_overhead_s))?;
+    eng.inject_faults(&faults, policy)?;
+    // Stop as soon as every flow is settled: fault and stale events past
+    // that point stay unpopped and out of the `events` count.
+    while eng.live_flows() > 0 && eng.step()?.is_some() {}
+    let failed = (0..flows.len()).map(|i| eng.failed(i)).collect();
+    let aborted = (0..flows.len()).map(|i| eng.aborts(i)).collect();
+    let first_impact_s = eng.first_impact_s();
     Ok(FaultDagRunReport {
-        tenant: TenantDagReport {
-            report: DagRunReport {
-                makespan_s: r.base.makespan_s,
-                windows: r
-                    .base
-                    .outcomes
-                    .iter()
-                    .map(|o| (o.start_s, o.finish_s))
-                    .collect(),
-                rate_recomputations: r.base.rate_recomputations,
-                solver_work: r.base.solver_work,
-                events: r.base.events,
-                barrier_fast_path: false,
-            },
-            job_active_s: pad(r.base.job_active_s),
-            job_service_bytes: pad(r.base.job_service_bytes),
-            job_peak_rate_bps: pad(r.base.job_peak_rate_bps),
-        },
-        failed: r.failed,
-        aborted: r.aborted,
-        first_impact_s: r.first_impact_s,
+        tenant: tenant_report(&eng, flows.len(), jobs),
+        failed,
+        aborted,
+        first_impact_s,
     })
 }
 
@@ -658,31 +637,9 @@ pub fn run_dag_event_driven(
     flows: &[DagFlow],
     per_message_overhead_s: f64,
 ) -> Result<DagRunReport> {
-    let engine_flows: Vec<EngineFlow> = flows
-        .iter()
-        .map(|f| EngineFlow {
-            src: f.src,
-            dst: f.dst,
-            bytes: f.bytes,
-            release_s: f.release_s,
-            delay_s: per_message_overhead_s,
-            deps: f.deps.clone(),
-            job: 0,
-        })
-        .collect();
-    let report = run_engine(net, &engine_flows)?;
-    Ok(DagRunReport {
-        makespan_s: report.makespan_s,
-        windows: report
-            .outcomes
-            .iter()
-            .map(|o| (o.start_s, o.finish_s))
-            .collect(),
-        rate_recomputations: report.rate_recomputations,
-        solver_work: report.solver_work,
-        events: report.events,
-        barrier_fast_path: false,
-    })
+    let job_of = vec![0; flows.len()];
+    let eng = run_engine(net, &engine_flows(flows, &job_of, per_message_overhead_s))?;
+    Ok(tenant_report(&eng, flows.len(), 1).report)
 }
 
 #[cfg(test)]
@@ -1105,5 +1062,58 @@ mod tests {
         let shift = vec![vec![(0, 1, 1000), (1, 2, 1000), (2, 3, 1000), (3, 0, 1000)]];
         assert_eq!(closed_forms(&skewed, &shift)[0].0, None);
         assert!(closed_forms(&net, &shift)[0].0.is_some());
+    }
+
+    #[test]
+    fn fault_at_a_finish_instant_leaves_the_flow_finished() {
+        // Flow 1 waits for flow 0, and both touch host 1.
+        let net = star_cluster(4, 1e9, 1e-6);
+        let flows = vec![
+            DagFlow {
+                src: 0,
+                dst: 1,
+                bytes: 1_000_000,
+                release_s: 0.0,
+                deps: vec![],
+                stage: 0,
+            },
+            DagFlow {
+                src: 1,
+                dst: 2,
+                bytes: 1_000_000,
+                release_s: 1e-4,
+                deps: vec![0],
+                stage: 1,
+            },
+        ];
+        let finish = run_dag_event_driven(&net, &flows, 0.0).unwrap().windows[0].1;
+        let route = net.route(0, 1).unwrap();
+        for kind in [
+            FaultKind::NodeDown { node: 1 },
+            FaultKind::LinkDegrade {
+                link: route[0].0,
+                factor: 0.5,
+            },
+            FaultKind::LinkFlap {
+                link: route[0].0,
+                down_s: 1e-3,
+            },
+        ] {
+            let script = FaultScript::new().with(finish, kind);
+            let r =
+                run_dag_jobs_faulted(&net, &flows, &[0, 0], 1, 0.0, &script, FaultPolicy::Replan)
+                    .unwrap();
+            assert!(!r.failed[0], "{kind:?}: finished, not failed");
+            assert_eq!(r.aborted[0], 0, "{kind:?}");
+            assert_eq!(
+                r.tenant.report.windows[0].1.to_bits(),
+                finish.to_bits(),
+                "{kind:?}"
+            );
+            // Only the node failure has a casualty: the gated dependent.
+            let node_down = matches!(kind, FaultKind::NodeDown { .. });
+            assert_eq!(r.failed[1], node_down, "{kind:?}");
+            assert_eq!(r.first_impact_s.is_some(), node_down, "{kind:?}");
+        }
     }
 }

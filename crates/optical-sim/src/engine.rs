@@ -2,13 +2,24 @@
 //!
 //! [`GrantEngine`] is the single execution engine behind every dependency-
 //! aware optical run. The closed-set entry points
-//! ([`crate::sim::RingSimulator::run_dag`] and
-//! [`crate::sim::RingSimulator::run_dag_jobs`]) are thin drivers over it:
+//! ([`crate::sim::RingSimulator::run_dag`],
+//! [`crate::sim::RingSimulator::run_dag_jobs`] and
+//! [`crate::sim::RingSimulator::run_dag_faulted`]) are thin drivers over it:
 //! they inject the whole transfer DAG at time zero and pump the engine to
 //! idle. Open-loop cluster services instead [`GrantEngine::inject`] each
 //! arriving job's transfers into the *running* engine — the grant loop,
 //! arbitration and event kernel are shared, so a stream whose arrivals are
 //! all known up front is bit-exact with the closed path.
+//!
+//! # Faults
+//!
+//! [`GrantEngine::inject_faults`] schedules substrate-lowered
+//! [`GrantFault`]s through the same kernel. A fault batch is applied after
+//! the gates and completions coalesced at its instant (a transfer finishing
+//! at exactly the fault instant is finished, not aborted) and before the
+//! grant scan, so recovering transfers compete under the usual arbitration.
+//! Aborts and failures surface through [`GrantEngine::drain_impacts`]. An
+//! engine that never sees a fault runs exactly the clean arithmetic.
 //!
 //! # Determinism across injection times
 //!
@@ -31,10 +42,11 @@
 //! The engine also supports [`GrantEngine::snapshot`] /
 //! [`GrantEngine::restore`]: a versioned, serializable image of the slots,
 //! lane occupancy, pending kernel events and clock, pinned byte-identical
-//! by the stream checkpoint tests in `wrht-core`.
+//! by the stream checkpoint tests in `wrht-core`. Fault state (failed
+//! transfers, stragglers, the impact log) is not part of a snapshot.
 
 use serde::{Deserialize, Serialize};
-use wrht_kernel::EventKernel;
+use wrht_kernel::{EventId, EventKernel, FaultPolicy};
 
 use crate::config::OpticalConfig;
 use crate::error::{OpticalError, Result};
@@ -83,10 +95,45 @@ pub struct GrantCompletion {
     pub lanes: usize,
 }
 
+/// One substrate-lowered fault for [`GrantEngine::inject_faults`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum GrantFault {
+    /// The lane admits no new lightpaths; every in-flight holder aborts and
+    /// recovers per the engine's [`FaultPolicy`].
+    LaneDown(Wavelength),
+    /// The lane is repaired.
+    LaneUp(Wavelength),
+    /// Every unfinished transfer with an endpoint on the node fails
+    /// permanently.
+    NodeDown(usize),
+    /// Grants touching the node at or after the instant last `slowdown`
+    /// times longer.
+    Straggle {
+        /// Straggling node.
+        node: usize,
+        /// Duration multiplier, `>= 1`.
+        slowdown: f64,
+    },
+}
+
+/// A fault's effect on one transfer, drained via
+/// [`GrantEngine::drain_impacts`] in the order the effects happened.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GrantImpact {
+    /// The transfer's order key.
+    pub order: u64,
+    /// Fault instant, seconds.
+    pub at_s: f64,
+    /// `true` when the transfer failed permanently; `false` for a
+    /// mid-flight abort.
+    pub failed: bool,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 enum Ev {
     Gate(usize),
     Complete(usize),
+    Fault(GrantFault),
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -167,6 +214,15 @@ pub struct GrantEngine {
     claimed: [Vec<bool>; 2],
     claimed_set: Vec<(usize, usize)>,
     granted: Vec<bool>,
+    // Fault state, inert until `inject_faults`: per-slot pending completion
+    // (in flight) and failure flags, per-node straggle factors (empty until
+    // a straggle), the impact log and the FailJob scratch list.
+    policy: FaultPolicy,
+    complete_ev: Vec<Option<EventId>>,
+    failed: Vec<bool>,
+    straggle: Vec<f64>,
+    impacts: Vec<GrantImpact>,
+    fail_jobs: Vec<usize>,
 }
 
 impl GrantEngine {
@@ -213,6 +269,12 @@ impl GrantEngine {
             claimed: [vec![false; nodes], vec![false; nodes]],
             claimed_set: Vec::new(),
             granted: Vec::new(),
+            policy: FaultPolicy::FailJob,
+            complete_ev: Vec::new(),
+            failed: Vec::new(),
+            straggle: Vec::new(),
+            impacts: Vec::new(),
+            fail_jobs: Vec::new(),
             topo,
         })
     }
@@ -306,6 +368,8 @@ impl GrantEngine {
             } else {
                 self.slots.push(Some(slot));
                 self.granted.push(false);
+                self.complete_ev.push(None);
+                self.failed.push(false);
                 self.slots.len() - 1
             };
             ids.push(id);
@@ -328,30 +392,198 @@ impl GrantEngine {
         Ok(())
     }
 
+    /// Schedule faults, each at its absolute instant; faults sharing an
+    /// instant apply in slice order. `policy` decides how aborted and
+    /// failed transfers recover (see [`FaultPolicy`]).
+    ///
+    /// # Errors
+    /// A fault instant that is non-finite or precedes the engine clock.
+    pub fn inject_faults(
+        &mut self,
+        faults: &[(f64, GrantFault)],
+        policy: FaultPolicy,
+    ) -> Result<()> {
+        self.policy = policy;
+        for &(at_s, fault) in faults {
+            self.queue
+                .schedule_at(at_s, Ev::Fault(fault))
+                .map_err(|_| {
+                    OpticalError::BadConfig(
+                        "fault instant must be finite and not precede the clock",
+                    )
+                })?;
+        }
+        Ok(())
+    }
+
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<f64> {
         self.queue.peek_time()
     }
 
     /// Process the next event batch (every event at the next bit-identical
-    /// instant) and run one grant scan. Returns the batch instant, or
-    /// `None` when the engine is idle.
-    pub fn step(&mut self) -> Option<f64> {
+    /// instant), apply its faults and run one grant scan. Returns the batch
+    /// instant, or `None` when the engine is idle.
+    ///
+    /// # Errors
+    /// A `RetryAfter` re-gate whose instant overflows.
+    pub fn step(&mut self) -> Result<Option<f64>> {
         self.batch.clear();
-        let now = self.queue.pop_batch(&mut self.batch)?;
+        let Some(now) = self.queue.pop_batch(&mut self.batch) else {
+            return Ok(None);
+        };
         // The kernel coalesces every event at this exact instant before
         // granting: cross-job arbitration must see all simultaneous waiters
         // (and all simultaneously freed wavelengths) together. Completes
         // scheduled *by* the grant scan below land in a later batch at the
         // same clock, which is fine.
+        let mut faulted = false;
         for k in 0..self.batch.len() {
             match self.batch[k] {
-                Ev::Gate(id) => self.enqueue_waiting(id),
+                Ev::Gate(id) => {
+                    if !self.failed[id] {
+                        self.enqueue_waiting(id);
+                    }
+                }
                 Ev::Complete(id) => self.complete(id, now),
+                Ev::Fault(_) => faulted = true,
             }
         }
+        if faulted {
+            self.apply_faults(now)?;
+        }
         self.grant_scan();
-        Some(now)
+        Ok(Some(now))
+    }
+
+    /// Apply the batch's faults in batch order, after its completions.
+    fn apply_faults(&mut self, now: f64) -> Result<()> {
+        for k in 0..self.batch.len() {
+            let Ev::Fault(fault) = self.batch[k] else {
+                continue;
+            };
+            match fault {
+                GrantFault::LaneDown(lambda) => {
+                    self.occ.set_lane_down(lambda);
+                    for id in 0..self.slots.len() {
+                        let holds = self.complete_ev[id].is_some()
+                            && self.slots[id]
+                                .as_ref()
+                                .is_some_and(|s| s.assigned.contains(&lambda));
+                        if !holds {
+                            continue;
+                        }
+                        self.abort(id, now);
+                        match self.policy {
+                            FaultPolicy::FailJob => self.fail_job_of(id),
+                            FaultPolicy::RetryAfter(backoff) => {
+                                self.queue
+                                    .schedule_at(now + backoff, Ev::Gate(id))
+                                    .map_err(|_| {
+                                        OpticalError::BadConfig("retry instant must be finite")
+                                    })?;
+                            }
+                            FaultPolicy::Replan => self.enqueue_waiting(id),
+                        }
+                    }
+                }
+                GrantFault::LaneUp(lambda) => self.occ.set_lane_up(lambda),
+                GrantFault::NodeDown(node) => {
+                    // Retrying a dead endpoint is futile: every unfinished
+                    // transfer touching the node fails. Order-key order lets
+                    // the failure cascade through dependents that also touch
+                    // the node in one sweep.
+                    let mut hit: Vec<(u64, usize)> = (0..self.slots.len())
+                        .filter_map(|id| {
+                            let s = self.slots[id].as_ref()?;
+                            let touches = s.transfer.src.0 == node || s.transfer.dst.0 == node;
+                            (touches && !self.failed[id]).then_some((s.order, id))
+                        })
+                        .collect();
+                    hit.sort_unstable();
+                    for (_, id) in hit {
+                        if self.complete_ev[id].is_some() {
+                            self.abort(id, now);
+                        }
+                        self.fail(id, now);
+                        if self.policy == FaultPolicy::FailJob {
+                            self.fail_job_of(id);
+                        } else {
+                            let slot = self.slots[id].as_mut().expect("failed slot is live");
+                            let dependents = std::mem::take(&mut slot.dependents);
+                            self.release_dependents(&dependents, now);
+                        }
+                    }
+                }
+                GrantFault::Straggle { node, slowdown } => {
+                    if self.straggle.is_empty() {
+                        self.straggle = vec![1.0; self.topo.nodes()];
+                    }
+                    self.straggle[node] = self.straggle[node].max(slowdown);
+                }
+            }
+        }
+        if !self.fail_jobs.is_empty() {
+            for id in 0..self.slots.len() {
+                let Some(job) = self.slots[id].as_ref().map(|s| s.job) else {
+                    continue;
+                };
+                if !self.failed[id] && self.fail_jobs.contains(&job) {
+                    if self.complete_ev[id].is_some() {
+                        self.stop(id);
+                    }
+                    self.fail(id, now);
+                }
+            }
+            self.fail_jobs.clear();
+        }
+        let failed = &self.failed;
+        self.waiting.retain(|&id| !failed[id]);
+        Ok(())
+    }
+
+    /// Cancel an in-flight transfer's completion and free its lanes.
+    fn stop(&mut self, id: usize) {
+        let ev = self.complete_ev[id]
+            .take()
+            .expect("stopped slot is in flight");
+        self.queue.cancel(ev);
+        let slot = self.slots[id].as_mut().expect("in-flight slot is live");
+        for &lambda in &slot.assigned {
+            self.occ.release(&slot.path, lambda);
+        }
+        slot.assigned.clear();
+        slot.started = None;
+        self.active -= 1;
+    }
+
+    /// Stop an in-flight transfer and log the abort.
+    fn abort(&mut self, id: usize, now: f64) {
+        self.stop(id);
+        self.log_impact(id, now, false);
+    }
+
+    /// Mark a transfer permanently failed and log it.
+    fn fail(&mut self, id: usize, now: f64) {
+        self.failed[id] = true;
+        self.log_impact(id, now, true);
+    }
+
+    fn log_impact(&mut self, id: usize, at_s: f64, failed: bool) {
+        let order = self.slots[id]
+            .as_ref()
+            .expect("impacted slot is live")
+            .order;
+        self.impacts.push(GrantImpact {
+            order,
+            at_s,
+            failed,
+        });
+    }
+
+    fn fail_job_of(&mut self, id: usize) {
+        let job = self.slots[id].as_ref().expect("impacted slot is live").job;
+        self.fail_jobs.push(job);
     }
 
     /// Insert `id` into the waiting list, keeping it sorted by order key.
@@ -376,10 +608,25 @@ impl GrantEngine {
         }
         self.makespan = self.makespan.max(now);
         self.active -= 1;
-        for &dep in &slot.dependents {
+        self.complete_ev[id] = None;
+        self.release_dependents(&slot.dependents, now);
+        self.completions.push(GrantCompletion {
+            order: slot.order,
+            job: slot.job,
+            start_s: slot.started.unwrap_or(0.0),
+            finish_s: now,
+            bytes: slot.transfer.bytes,
+            lanes: slot.transfer.lanes,
+        });
+    }
+
+    /// Drop one missing edge from each dependent, gating those that reach
+    /// zero (failed dependents stay put).
+    fn release_dependents(&mut self, dependents: &[usize], now: f64) {
+        for &dep in dependents {
             let d = self.slots[dep].as_mut().expect("dependent slot is live");
             d.missing -= 1;
-            if d.missing == 0 {
+            if d.missing == 0 && !self.failed[dep] {
                 let rel = d.release_s;
                 if rel <= now {
                     self.enqueue_waiting(dep);
@@ -390,14 +637,6 @@ impl GrantEngine {
                 }
             }
         }
-        self.completions.push(GrantCompletion {
-            order: slot.order,
-            job: slot.job,
-            start_s: slot.started.unwrap_or(0.0),
-            finish_s: now,
-            bytes: slot.transfer.bytes,
-            lanes: slot.transfer.lanes,
-        });
     }
 
     /// Start every waiter that now fits. Scan order is order-key (DAG)
@@ -415,6 +654,8 @@ impl GrantEngine {
             claimed,
             claimed_set,
             granted,
+            complete_ev,
+            straggle,
             active,
             peak,
             peak_wavelength,
@@ -449,15 +690,23 @@ impl GrantEngine {
             if !overtakes {
                 if let Ok(lanes) = occ.assign(&slot.path, slot.transfer.lanes, *strategy) {
                     slot.assigned = lanes;
-                    let dur = timing.transfer_time(
+                    let mut dur = timing.transfer_time(
                         slot.transfer.bytes,
                         slot.transfer.lanes,
                         slot.path.hops(),
                     );
+                    if !straggle.is_empty() {
+                        let slow = straggle[slot.transfer.src.0].max(straggle[slot.transfer.dst.0]);
+                        if slow > 1.0 {
+                            dur *= slow;
+                        }
+                    }
                     slot.started = Some(queue.now());
-                    queue
-                        .schedule_in(dur, Ev::Complete(id))
-                        .expect("transfer duration is a finite forward delay");
+                    complete_ev[id] = Some(
+                        queue
+                            .schedule_in(dur, Ev::Complete(id))
+                            .expect("transfer duration is a finite forward delay"),
+                    );
                     *active += 1;
                     *peak = (*peak).max(*active);
                     *peak_wavelength = (*peak_wavelength).max(occ.peak_wavelengths_used());
@@ -494,6 +743,11 @@ impl GrantEngine {
     /// Append and clear the accumulated completion records.
     pub fn drain_completions(&mut self, out: &mut Vec<GrantCompletion>) {
         out.append(&mut self.completions);
+    }
+
+    /// Append and clear the accumulated fault impacts.
+    pub fn drain_impacts(&mut self, out: &mut Vec<GrantImpact>) {
+        out.append(&mut self.impacts);
     }
 
     /// Current engine clock (timestamp of the last processed batch).
@@ -603,10 +857,16 @@ impl GrantEngine {
         eng.queue
             .fast_forward(snap.now)
             .map_err(|_| OpticalError::BadConfig("snapshot clock must be finite and >= 0"))?;
+        eng.complete_ev = vec![None; snap.slots.len()];
+        eng.failed = vec![false; snap.slots.len()];
         for (t, ev) in &snap.pending {
-            eng.queue
+            let id = eng
+                .queue
                 .schedule_at(*t, *ev)
                 .map_err(|_| OpticalError::BadConfig("snapshot event precedes its clock"))?;
+            if let Ev::Complete(slot) = ev {
+                eng.complete_ev[*slot] = Some(id);
+            }
         }
         eng.occ = snap.occ.clone();
         eng.slots = snap.slots.clone();
@@ -660,7 +920,7 @@ mod tests {
                 item(1, 3, 2_000_000, 5e-4, vec![]),
             ])
             .unwrap();
-            while eng.step().is_some() {}
+            while eng.step().unwrap().is_some() {}
             (eng.makespan(), eng.events())
         };
         let run_incremental = || {
@@ -678,7 +938,7 @@ mod tests {
                         .unwrap();
                     injected = true;
                 }
-                if eng.step().is_none() {
+                if eng.step().unwrap().is_none() {
                     if injected {
                         break;
                     }
@@ -706,10 +966,10 @@ mod tests {
             let t = f64::from(round) * 1.0;
             // Drain to the arrival instant, then inject one transfer.
             while eng.peek_time().is_some_and(|p| p < t) {
-                eng.step();
+                eng.step().unwrap();
             }
             eng.inject(&[item(0, 1, 1_000_000, t, vec![])]).unwrap();
-            while eng.step().is_some() {}
+            while eng.step().unwrap().is_some() {}
         }
         assert!(
             eng.slots.len() <= 2,
@@ -731,17 +991,17 @@ mod tests {
         // Uninterrupted reference.
         let mut full = GrantEngine::new(&cfgv, Strategy::FirstFit, false, false).unwrap();
         full.inject(&items).unwrap();
-        while full.step().is_some() {}
+        while full.step().unwrap().is_some() {}
         // Interrupted at the second batch: snapshot, serialize, restore.
         let mut eng = GrantEngine::new(&cfgv, Strategy::FirstFit, false, false).unwrap();
         eng.inject(&items).unwrap();
-        eng.step();
-        eng.step();
+        eng.step().unwrap();
+        eng.step().unwrap();
         let json = serde_json::to_string(&eng.snapshot()).unwrap();
         let snap: GrantEngineSnapshot = serde_json::from_str(&json).unwrap();
         let mut resumed =
             GrantEngine::restore(&cfgv, Strategy::FirstFit, false, false, &snap).unwrap();
-        while resumed.step().is_some() {}
+        while resumed.step().unwrap().is_some() {}
         assert_eq!(full.makespan().to_bits(), resumed.makespan().to_bits());
         assert_eq!(full.events(), resumed.events());
         let (mut a, mut b) = (Vec::new(), Vec::new());

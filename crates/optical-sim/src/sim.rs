@@ -1,15 +1,21 @@
 //! The ring simulator: stepped and event-driven execution of schedules.
+//!
+//! Every dependency-aware run — [`RingSimulator::run_dag`],
+//! [`RingSimulator::run_dag_jobs`] and [`RingSimulator::run_dag_faulted`] —
+//! is a thin driver over the grant engine ([`crate::engine::GrantEngine`]):
+//! validate, lower any fault script, inject, pump.
 
 use crate::config::OpticalConfig;
-use crate::engine::{GrantEngine, GrantTransfer};
+use crate::engine::{GrantEngine, GrantFault, GrantTransfer};
 use crate::error::{OpticalError, Result};
 use crate::path::LightPath;
 use crate::request::Transfer;
 use crate::rwa::{Occupancy, Strategy};
 use crate::stats::{RunStats, StepStats};
-use crate::topology::{Direction, RingTopology};
+use crate::topology::RingTopology;
+use crate::wavelength::Wavelength;
 use serde::{Deserialize, Serialize};
-use wrht_kernel::{EventId, EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
+use wrht_kernel::{EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
 
 /// A step-synchronous communication schedule: every transfer of a step
 /// starts together, and a step ends when its slowest transfer completes.
@@ -431,31 +437,54 @@ impl RingSimulator {
         arb: &JobArbitration,
         strategy: Strategy,
     ) -> Result<DagReport> {
-        if arb.job_of.len() != transfers.len() {
-            return Err(OpticalError::BadConfig(
-                "job tag list must match the transfer list",
-            ));
-        }
-        if arb.job_of.iter().any(|&j| j >= arb.rank.len()) {
-            return Err(OpticalError::BadConfig(
-                "job tag out of range of the rank table",
-            ));
-        }
         self.run_dag_arbitrated(transfers, strategy, Some(arb))
     }
 
     /// Shared body of [`RingSimulator::run_dag`] (no arbitration: waiters
-    /// served in DAG order) and [`RingSimulator::run_dag_jobs`]: a thin
-    /// closed-set driver over the streaming [`GrantEngine`] — the whole DAG
-    /// is injected as one batch at time zero (so order keys equal transfer
-    /// indices and arbitration tie-breaks match the historical DAG order)
-    /// and the engine is pumped to idle.
+    /// served in DAG order) and [`RingSimulator::run_dag_jobs`]: pump the
+    /// fault-free engine to idle.
     fn run_dag_arbitrated(
         &mut self,
         transfers: &[DagTransfer],
         strategy: Strategy,
         arb: Option<&JobArbitration>,
     ) -> Result<DagReport> {
+        let mut eng = self.pump(transfers, strategy, arb, &[], FaultPolicy::FailJob)?;
+        let mut times = vec![(f64::NAN, f64::NAN); transfers.len()];
+        let mut completions = Vec::with_capacity(transfers.len());
+        eng.drain_completions(&mut completions);
+        for c in &completions {
+            times[order_index(c.order)] = (c.start_s, c.finish_s);
+        }
+        Ok(DagReport {
+            makespan_s: eng.makespan(),
+            transfer_times: times,
+            peak_concurrency: eng.peak_concurrency(),
+            peak_wavelength: eng.peak_wavelength(),
+            events: eng.events(),
+        })
+    }
+
+    /// The closed-set driver over the streaming [`GrantEngine`]: the whole
+    /// DAG is injected as one batch at time zero (so order keys equal
+    /// transfer indices and arbitration tie-breaks match the historical
+    /// DAG order), `faults` are scheduled, and the engine is pumped to
+    /// idle. Without faults a waiter that can never be served is an error;
+    /// with faults it is a casualty the caller reports.
+    fn pump(
+        &self,
+        transfers: &[DagTransfer],
+        strategy: Strategy,
+        arb: Option<&JobArbitration>,
+        faults: &[(f64, GrantFault)],
+        policy: FaultPolicy,
+    ) -> Result<GrantEngine> {
+        // Tag ranges are checked by `inject` against the rank table.
+        if arb.is_some_and(|a| a.job_of.len() != transfers.len()) {
+            return Err(OpticalError::BadConfig(
+                "job tag list must match the transfer list",
+            ));
+        }
         let mut eng = GrantEngine::new(
             &self.config,
             strategy,
@@ -478,37 +507,27 @@ impl RingSimulator {
             })
             .collect();
         eng.inject(&items)?;
-        while eng.step().is_some() {}
+        eng.inject_faults(faults, policy)?;
+        while eng.step()?.is_some() {}
 
-        if let Some(lanes) = eng.stuck_lanes() {
-            // Can only happen if a transfer's lane demand can never be met
-            // concurrently with an earlier waiter — surface it rather than
-            // silently dropping the transfer.
-            return Err(OpticalError::WavelengthsExhausted {
-                available: self.config.wavelengths,
-                requested: lanes,
-                step: 0,
-            });
+        if faults.is_empty() {
+            if let Some(lanes) = eng.stuck_lanes() {
+                // Can only happen if a transfer's lane demand can never be
+                // met concurrently with an earlier waiter — surface it
+                // rather than silently dropping the transfer.
+                return Err(OpticalError::WavelengthsExhausted {
+                    available: self.config.wavelengths,
+                    requested: lanes,
+                    step: 0,
+                });
+            }
         }
-        let mut times = vec![(f64::NAN, f64::NAN); transfers.len()];
-        let mut completions = Vec::with_capacity(transfers.len());
-        eng.drain_completions(&mut completions);
-        for c in &completions {
-            // One batch injected at time zero: order keys are indices.
-            times[usize::try_from(c.order).expect("order fits usize")] = (c.start_s, c.finish_s);
-        }
-        Ok(DagReport {
-            makespan_s: eng.makespan(),
-            transfer_times: times,
-            peak_concurrency: eng.peak_concurrency(),
-            peak_wavelength: eng.peak_wavelength(),
-            events: eng.events(),
-        })
+        Ok(eng)
     }
 
-    /// Execute a transfer DAG under a [`FaultScript`]: fault events are
-    /// scheduled through the same event kernel as gates and completions
-    /// and applied at their instants, interleaved deterministically.
+    /// Execute a transfer DAG under a [`FaultScript`]: the script is lowered
+    /// to [`GrantFault`]s that the grant engine applies at their instants,
+    /// interleaved deterministically with gates and completions.
     ///
     /// Optically relevant kinds: `WavelengthDown` fails a lane (it admits
     /// no new lightpaths and every in-flight holder **aborts**, recovering
@@ -519,8 +538,8 @@ impl RingSimulator {
     /// survivors re-plan; under `FailJob` the owning job fails wholly);
     /// `NodeStraggle` multiplies the duration of grants at or after the
     /// instant by `slowdown`. Link events have no optical meaning and are
-    /// ignored. With no relevant events the run delegates to the clean
-    /// grant loop and is **bit-exact** with [`RingSimulator::run_dag`] /
+    /// ignored. With no relevant events the engine runs its clean
+    /// arithmetic and is **bit-exact** with [`RingSimulator::run_dag`] /
     /// [`RingSimulator::run_dag_jobs`].
     ///
     /// Same-instant order: completions coalesced with a fault at a bit-
@@ -536,394 +555,71 @@ impl RingSimulator {
         script: &FaultScript,
         policy: FaultPolicy,
     ) -> Result<FaultDagReport> {
-        if let Some(a) = arb {
-            if a.job_of.len() != transfers.len() {
-                return Err(OpticalError::BadConfig(
-                    "job tag list must match the transfer list",
-                ));
-            }
-            if a.job_of.iter().any(|&j| j >= a.rank.len()) {
-                return Err(OpticalError::BadConfig(
-                    "job tag out of range of the rank table",
-                ));
-            }
-        }
         let limits = FaultLimits {
             nodes: self.config.nodes,
             wavelengths: Some(self.config.wavelengths),
             links: None,
         };
-        script.validate(&limits).map_err(OpticalError::Fault)?;
-        policy.validate().map_err(OpticalError::Fault)?;
-
-        use crate::wavelength::Wavelength;
-        #[derive(Debug, Clone, Copy)]
-        enum Fault {
-            LaneDown(Wavelength),
-            LaneUp(Wavelength),
-            NodeDown(usize),
-            Straggle(usize, f64),
-        }
-        let mut faults: Vec<(f64, Fault)> = Vec::new();
-        for ev in script.events() {
-            let kind = match ev.kind {
-                FaultKind::WavelengthDown { lane } => Fault::LaneDown(Wavelength(lane)),
-                FaultKind::WavelengthUp { lane } => Fault::LaneUp(Wavelength(lane)),
-                FaultKind::NodeDown { node } => Fault::NodeDown(node),
-                FaultKind::NodeStraggle { node, slowdown } => Fault::Straggle(node, slowdown),
-                // Link capacity is an electrical concept; no optical meaning.
-                FaultKind::LinkDegrade { .. } | FaultKind::LinkFlap { .. } => continue,
-            };
-            faults.push((ev.at_s, kind));
-        }
-        if faults.is_empty() {
-            // Zero relevant faults: the clean loop, bit-exactly.
-            let clean = self.run_dag_arbitrated(transfers, strategy, arb)?;
-            return Ok(FaultDagReport {
-                makespan_s: clean.makespan_s,
-                outcomes: clean
-                    .transfer_times
-                    .iter()
-                    .map(|&(start_s, finish_s)| FaultOutcome {
-                        start_s,
-                        finish_s,
-                        aborts: 0,
-                        completed: true,
-                    })
-                    .collect(),
-                peak_concurrency: clean.peak_concurrency,
-                peak_wavelength: clean.peak_wavelength,
-                events: clean.events,
-                first_impact_s: None,
-            });
-        }
-
-        #[derive(Debug)]
-        enum Ev {
-            Gate(usize),
-            Complete(usize),
-            Fault(usize),
-        }
-
-        let timing = self.config.timing();
-        let mut occ = Occupancy::new(self.topo.nodes(), self.config.wavelengths);
-
-        // Pre-resolve paths and validate feasibility in isolation (same
-        // checks as the clean loop).
-        let mut paths: Vec<LightPath> = Vec::with_capacity(transfers.len());
-        for (i, t) in transfers.iter().enumerate() {
-            if t.deps.iter().any(|&d| d >= i) {
-                return Err(OpticalError::BadConfig(
-                    "dependency must precede its transfer",
-                ));
-            }
-            if !t.release_s.is_finite() || t.release_s < 0.0 {
-                return Err(OpticalError::BadConfig(
-                    "release time must be finite and >= 0",
-                ));
-            }
-            let path = t.transfer.resolve(&self.topo)?;
-            if t.transfer.lanes > self.config.wavelengths {
-                return Err(OpticalError::WavelengthsExhausted {
-                    available: self.config.wavelengths,
-                    requested: t.transfer.lanes,
-                    step: 0,
-                });
-            }
-            paths.push(path);
-        }
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); transfers.len()];
-        let mut missing: Vec<usize> = vec![0; transfers.len()];
-        for (i, t) in transfers.iter().enumerate() {
-            missing[i] = t.deps.len();
-            for &d in &t.deps {
-                dependents[d].push(i);
-            }
-        }
-
-        let mut queue: EventKernel<Ev> = EventKernel::with_capacity(transfers.len() + faults.len());
-        // Faults are scheduled before any gate, so within a same-instant
-        // batch they carry the lowest sequence numbers; the two-pass drain
-        // below nevertheless applies completions first (see the doc above).
-        for (fi, &(at_s, _)) in faults.iter().enumerate() {
-            queue
-                .schedule_at(at_s, Ev::Fault(fi))
-                .expect("validated fault time");
-        }
-        for (i, t) in transfers.iter().enumerate() {
-            if t.deps.is_empty() {
-                queue
-                    .schedule_at(t.release_s, Ev::Gate(i))
-                    .expect("validated release time");
-            }
-        }
-
-        let mut waiting: Vec<usize> = Vec::new();
-        let mut assigned: Vec<Vec<Wavelength>> = vec![Vec::new(); transfers.len()];
-        let mut times = vec![(f64::NAN, f64::NAN); transfers.len()];
-        let mut complete_ev: Vec<Option<EventId>> = vec![None; transfers.len()];
-        let mut aborts = vec![0u32; transfers.len()];
-        let mut failed = vec![false; transfers.len()];
-        let mut straggle = vec![1.0f64; self.config.nodes];
-        let mut first_impact: Option<f64> = None;
-        let mut active = 0usize;
-        let mut peak = 0usize;
-        let mut peak_wavelength = 0usize;
-        let mut makespan = 0.0f64;
-
-        fn enqueue(waiting: &mut Vec<usize>, id: usize) {
-            let pos = waiting.partition_point(|&w| w < id);
-            waiting.insert(pos, id);
-        }
-
-        let job_of = |id: usize| arb.map_or(0, |a| a.job_of[id]);
-        let jobs = arb.map_or(1, |a| a.rank.len());
-
-        let mut claimed = [
-            vec![false; self.topo.nodes()],
-            vec![false; self.topo.nodes()],
-        ];
-        let mut claimed_set: Vec<(usize, usize)> = Vec::new();
-        let mut service = vec![0.0f64; arb.map_or(0, |a| a.rank.len())];
-        let mut batch: Vec<Ev> = Vec::new();
-        let mut order: Vec<usize> = Vec::new();
-        let mut granted = vec![false; transfers.len()];
-        let mut jobs_to_fail: Vec<bool> = vec![false; jobs];
-
-        loop {
-            // The two-pass drain below iterates the batch by reference, so
-            // it must be emptied by hand (`pop_batch` only appends).
-            batch.clear();
-            let Some(now) = queue.pop_batch(&mut batch) else {
-                break;
-            };
-            // Pass 1: gates and completions. Applying completions before
-            // same-instant faults is the documented coalescing order.
-            for ev in &batch {
-                match *ev {
-                    Ev::Gate(id) => {
-                        if !failed[id] {
-                            enqueue(&mut waiting, id);
-                        }
-                    }
-                    Ev::Complete(id) => {
-                        complete_ev[id] = None;
-                        for &lambda in &assigned[id] {
-                            occ.release(&paths[id], lambda);
-                        }
-                        times[id].1 = now;
-                        makespan = makespan.max(now);
-                        active -= 1;
-                        for &dep in &dependents[id] {
-                            missing[dep] -= 1;
-                            if missing[dep] == 0 && !failed[dep] {
-                                if transfers[dep].release_s <= now {
-                                    enqueue(&mut waiting, dep);
-                                } else {
-                                    queue
-                                        .schedule_at(transfers[dep].release_s, Ev::Gate(dep))
-                                        .expect("validated release time after now");
-                                }
-                            }
-                        }
-                    }
-                    Ev::Fault(_) => {}
-                }
-            }
-            // Pass 2: apply the faults coalesced at this instant.
-            let mut any_fault = false;
-            for ev in &batch {
-                let Ev::Fault(fi) = *ev else { continue };
-                any_fault = true;
-                match faults[fi].1 {
-                    Fault::LaneDown(lambda) => {
-                        occ.set_lane_down(lambda);
-                        for id in 0..transfers.len() {
-                            if complete_ev[id].is_some() && assigned[id].contains(&lambda) {
-                                let ev_id = complete_ev[id].take().expect("checked in-flight");
-                                queue.cancel(ev_id);
-                                for &l in &assigned[id] {
-                                    occ.release(&paths[id], l);
-                                }
-                                assigned[id].clear();
-                                active -= 1;
-                                aborts[id] += 1;
-                                times[id].0 = f64::NAN;
-                                first_impact.get_or_insert(now);
-                                match policy {
-                                    FaultPolicy::FailJob => jobs_to_fail[job_of(id)] = true,
-                                    FaultPolicy::RetryAfter(backoff) => {
-                                        queue
-                                            .schedule_at(now + backoff, Ev::Gate(id))
-                                            .expect("finite non-negative backoff");
-                                    }
-                                    FaultPolicy::Replan => enqueue(&mut waiting, id),
-                                }
-                            }
-                        }
-                    }
-                    Fault::LaneUp(lambda) => occ.set_lane_up(lambda),
-                    Fault::NodeDown(node) => {
-                        // Every unfinished transfer touching the node fails
-                        // permanently (retrying a dead endpoint is futile).
-                        // Ascending index order lets failure cascade to
-                        // dependents that also touch the node in one sweep.
-                        for id in 0..transfers.len() {
-                            let tr = &transfers[id].transfer;
-                            if (tr.src.0 == node || tr.dst.0 == node)
-                                && times[id].1.is_nan()
-                                && !failed[id]
-                            {
-                                if let Some(ev_id) = complete_ev[id].take() {
-                                    queue.cancel(ev_id);
-                                    for &l in &assigned[id] {
-                                        occ.release(&paths[id], l);
-                                    }
-                                    assigned[id].clear();
-                                    active -= 1;
-                                    aborts[id] += 1;
-                                    times[id].0 = f64::NAN;
-                                }
-                                failed[id] = true;
-                                first_impact.get_or_insert(now);
-                                match policy {
-                                    FaultPolicy::FailJob => jobs_to_fail[job_of(id)] = true,
-                                    FaultPolicy::RetryAfter(_) | FaultPolicy::Replan => {
-                                        for &dep in &dependents[id] {
-                                            missing[dep] -= 1;
-                                            if missing[dep] == 0 && !failed[dep] {
-                                                if transfers[dep].release_s <= now {
-                                                    enqueue(&mut waiting, dep);
-                                                } else {
-                                                    queue
-                                                        .schedule_at(
-                                                            transfers[dep].release_s,
-                                                            Ev::Gate(dep),
-                                                        )
-                                                        .expect("validated release time");
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Fault::Straggle(node, slowdown) => {
-                        straggle[node] = straggle[node].max(slowdown);
-                    }
-                }
-            }
-            if any_fault {
-                if jobs_to_fail.iter().any(|&f| f) {
-                    for id in 0..transfers.len() {
-                        if jobs_to_fail[job_of(id)] && times[id].1.is_nan() && !failed[id] {
-                            failed[id] = true;
-                            if let Some(ev_id) = complete_ev[id].take() {
-                                queue.cancel(ev_id);
-                                for &l in &assigned[id] {
-                                    occ.release(&paths[id], l);
-                                }
-                                assigned[id].clear();
-                                active -= 1;
-                                times[id].0 = f64::NAN;
-                            }
-                        }
-                    }
-                    jobs_to_fail.iter_mut().for_each(|f| *f = false);
-                }
-                waiting.retain(|&id| !failed[id]);
-            }
-            // Grant scan — identical to the clean loop, except grant
-            // durations stretch for straggling endpoints.
-            order.clear();
-            order.extend_from_slice(&waiting);
-            if let Some(a) = arb {
-                order.sort_by(|&x, &y| {
-                    let (jx, jy) = (a.job_of[x], a.job_of[y]);
-                    let (sx, sy) = if a.fair_share {
-                        (service[jx], service[jy])
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    sx.total_cmp(&sy)
-                        .then(a.rank[jx].cmp(&a.rank[jy]))
-                        .then(x.cmp(&y))
-                });
-            }
-            let mut any_granted = false;
-            for &id in &order {
-                let tr = &transfers[id].transfer;
-                let d = usize::from(paths[id].direction == Direction::CounterClockwise);
-                let overtakes = paths[id].segments.iter().any(|&s| claimed[d][s]);
-                if !overtakes {
-                    if let Ok(lanes) = occ.assign(&paths[id], tr.lanes, strategy) {
-                        assigned[id] = lanes;
-                        let mut dur = timing.transfer_time(tr.bytes, tr.lanes, paths[id].hops());
-                        let slow = straggle[tr.src.0].max(straggle[tr.dst.0]);
-                        if slow > 1.0 {
-                            dur *= slow;
-                        }
-                        times[id].0 = queue.now();
-                        let ev_id = queue
-                            .schedule_in(dur, Ev::Complete(id))
-                            .expect("transfer duration is a finite forward delay");
-                        complete_ev[id] = Some(ev_id);
-                        active += 1;
-                        peak = peak.max(active);
-                        peak_wavelength = peak_wavelength.max(occ.peak_wavelengths_used());
-                        if let Some(a) = arb {
-                            service[a.job_of[id]] += dur * tr.lanes as f64;
-                        }
-                        granted[id] = true;
-                        any_granted = true;
-                        continue;
-                    }
-                }
-                for &s in &paths[id].segments {
-                    if !claimed[d][s] {
-                        claimed[d][s] = true;
-                        claimed_set.push((d, s));
-                    }
-                }
-            }
-            if any_granted {
-                waiting.retain(|&id| {
-                    let g = granted[id];
-                    if g {
-                        granted[id] = false;
-                    }
-                    !g
-                });
-            }
-            for &(d, s) in &claimed_set {
-                claimed[d][s] = false;
-            }
-            claimed_set.clear();
-        }
-
-        // Anything unfinished at drain (stuck waiters, dependents of failed
-        // transfers) is a casualty, not an error, under fault injection:
-        // it surfaces as `completed: false` below.
-        let outcomes = times
+        script.validate(&limits)?;
+        policy.validate()?;
+        let faults: Vec<(f64, GrantFault)> = script
+            .events()
             .iter()
-            .zip(&aborts)
-            .map(|(&(start_s, finish_s), &ab)| FaultOutcome {
-                start_s: if start_s.is_nan() { 0.0 } else { start_s },
-                finish_s: if finish_s.is_nan() { 0.0 } else { finish_s },
-                aborts: ab,
-                completed: !finish_s.is_nan(),
+            .filter_map(|ev| {
+                let fault = match ev.kind {
+                    FaultKind::WavelengthDown { lane } => GrantFault::LaneDown(Wavelength(lane)),
+                    FaultKind::WavelengthUp { lane } => GrantFault::LaneUp(Wavelength(lane)),
+                    FaultKind::NodeDown { node } => GrantFault::NodeDown(node),
+                    FaultKind::NodeStraggle { node, slowdown } => {
+                        GrantFault::Straggle { node, slowdown }
+                    }
+                    // Link capacity is an electrical concept; no optical
+                    // meaning.
+                    FaultKind::LinkDegrade { .. } | FaultKind::LinkFlap { .. } => return None,
+                };
+                Some((ev.at_s, fault))
             })
             .collect();
+        let mut eng = self.pump(transfers, strategy, arb, &faults, policy)?;
+
+        // Anything unfinished at drain (stuck waiters, dependents of failed
+        // transfers) is a casualty: it keeps `completed: false`.
+        let mut outcomes = vec![
+            FaultOutcome {
+                start_s: 0.0,
+                finish_s: 0.0,
+                aborts: 0,
+                completed: false,
+            };
+            transfers.len()
+        ];
+        let mut completions = Vec::with_capacity(transfers.len());
+        eng.drain_completions(&mut completions);
+        for c in &completions {
+            let o = &mut outcomes[order_index(c.order)];
+            o.start_s = c.start_s;
+            o.finish_s = c.finish_s;
+            o.completed = true;
+        }
+        let mut impacts = Vec::new();
+        eng.drain_impacts(&mut impacts);
+        for imp in impacts.iter().filter(|imp| !imp.failed) {
+            outcomes[order_index(imp.order)].aborts += 1;
+        }
         Ok(FaultDagReport {
-            makespan_s: makespan,
+            makespan_s: eng.makespan(),
             outcomes,
-            peak_concurrency: peak,
-            peak_wavelength,
-            events: queue.events_processed(),
-            first_impact_s: first_impact,
+            peak_concurrency: eng.peak_concurrency(),
+            peak_wavelength: eng.peak_wavelength(),
+            events: eng.events(),
+            first_impact_s: impacts.first().map(|imp| imp.at_s),
         })
     }
+}
+
+/// A single batch injected at time zero has order keys equal to indices.
+fn order_index(order: u64) -> usize {
+    usize::try_from(order).expect("order fits usize")
 }
 
 #[cfg(test)]
@@ -1373,5 +1069,60 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.transfer_count(), 3);
         assert_eq!(s.total_bytes(), 60);
+    }
+
+    #[test]
+    fn fault_at_a_finish_instant_leaves_the_transfer_finished() {
+        // One lane, a two-transfer chain: both hold lane 0 on node 0's path.
+        let cfg = OpticalConfig::new(8, 1)
+            .with_lambda_bandwidth(1e9)
+            .with_message_overhead(0.0)
+            .with_hop_propagation(0.0);
+        let mut sim = RingSimulator::new(cfg);
+        let dag = vec![
+            DagTransfer {
+                transfer: Transfer::shortest(NodeId(0), NodeId(2), 1_000_000),
+                release_s: 0.0,
+                deps: vec![],
+            },
+            DagTransfer {
+                transfer: Transfer::shortest(NodeId(0), NodeId(2), 1_000_000),
+                release_s: 0.0,
+                deps: vec![0],
+            },
+        ];
+        let finish = sim
+            .run_dag(&dag, Strategy::FirstFit)
+            .unwrap()
+            .transfer_times[0]
+            .1;
+        for kind in [
+            FaultKind::WavelengthDown { lane: 0 },
+            FaultKind::NodeDown { node: 0 },
+        ] {
+            let script = FaultScript::new().with(finish, kind);
+            for policy in [FaultPolicy::FailJob, FaultPolicy::Replan] {
+                let r = sim
+                    .run_dag_faulted(&dag, Strategy::FirstFit, None, &script, policy)
+                    .unwrap();
+                let first = r.outcomes[0];
+                assert!(first.completed, "{kind:?}/{policy}: finished, not aborted");
+                assert_eq!(first.aborts, 0, "{kind:?}/{policy}");
+                assert_eq!(
+                    first.finish_s.to_bits(),
+                    finish.to_bits(),
+                    "{kind:?}/{policy}"
+                );
+                // The dependent was gated at that instant and is the casualty.
+                assert!(!r.outcomes[1].completed, "{kind:?}/{policy}");
+                assert_eq!(
+                    r.first_impact_s.map(f64::to_bits),
+                    match kind {
+                        FaultKind::NodeDown { .. } => Some(finish.to_bits()),
+                        _ => None,
+                    }
+                );
+            }
+        }
     }
 }
