@@ -6,10 +6,10 @@
 //! and friends, and [`crate::runner::run_dag_jobs_faulted`]) inject the
 //! whole flow list at time zero and pump the engine, while open-loop
 //! cluster services [`FluidEngine::inject`] each arriving job's flows into
-//! the *running* engine. The incremental per-component max-min re-solve, the lazy
-//! `remaining` bookkeeping and the one-completion-event-per-component
-//! discipline are shared, so a stream whose arrivals are all known up
-//! front is bit-exact with the closed path.
+//! the *running* engine. The incremental per-component max-min re-solve,
+//! the lazy `remaining` bookkeeping and the one-completion-event-per-
+//! component discipline are shared, so a stream whose arrivals are all
+//! known up front is bit-exact with the closed path.
 //!
 //! # Determinism across injection times
 //!
@@ -1085,6 +1085,20 @@ mod tests {
         for i in 0..all.len() {
             assert_eq!(full.window(i).1.to_bits(), resumed.window(i).1.to_bits());
         }
+    }
+
+    #[test]
+    fn unschedulable_fault_instants_are_typed_errors() {
+        let net = star_cluster(4, 1e9, 0.0);
+        let mut eng = FluidEngine::new(&net);
+        let dark = FluidFault::SetLinkFactor {
+            link: 0,
+            factor: 0.0,
+        };
+        assert!(matches!(
+            eng.inject_faults(&[(f64::INFINITY, dark)], FaultPolicy::Replan),
+            Err(NetError::BadConfig(_))
+        ));
     }
 
     #[test]

@@ -37,8 +37,6 @@ pub mod engine;
 pub mod error;
 pub mod flow;
 pub mod graph;
-#[doc(hidden)]
-pub mod legacy_faulted;
 pub mod maxmin;
 pub mod runner;
 pub mod sim;

@@ -449,7 +449,7 @@ pub fn run_dag_jobs(
         });
     }
     let eng = run_engine(net, &engine_flows(flows, job_of, per_message_overhead_s))?;
-    Ok(tenant_report(&eng, flows.len(), jobs))
+    Ok(tenant_report(&eng, jobs))
 }
 
 fn check_job_tags(flows: &[DagFlow], job_of: &[usize], jobs: usize) -> Result<()> {
@@ -479,9 +479,8 @@ fn engine_flows(flows: &[DagFlow], job_of: &[usize], delay_s: f64) -> Vec<Engine
         .collect()
 }
 
-/// An event-engine run over `flows` flows in the tenant shape, job vectors
-/// padded to `jobs`.
-fn tenant_report(eng: &FluidEngine, flows: usize, jobs: usize) -> TenantDagReport {
+/// An event-engine run in the tenant shape, job vectors padded to `jobs`.
+fn tenant_report(eng: &FluidEngine, jobs: usize) -> TenantDagReport {
     let (active_s, service_bytes, peak_rate_bps) = eng.job_totals();
     let pad = |v: &[f64]| {
         let mut v = v.to_vec();
@@ -491,7 +490,7 @@ fn tenant_report(eng: &FluidEngine, flows: usize, jobs: usize) -> TenantDagRepor
     TenantDagReport {
         report: DagRunReport {
             makespan_s: eng.makespan(),
-            windows: (0..flows).map(|i| eng.window(i)).collect(),
+            windows: (0..eng.flow_count()).map(|i| eng.window(i)).collect(),
             rate_recomputations: eng.rate_recomputations(),
             solver_work: eng.solver_work(),
             events: eng.events(),
@@ -618,14 +617,11 @@ pub fn run_dag_jobs_faulted(
     // Stop as soon as every flow is settled: fault and stale events past
     // that point stay unpopped and out of the `events` count.
     while eng.live_flows() > 0 && eng.step()?.is_some() {}
-    let failed = (0..flows.len()).map(|i| eng.failed(i)).collect();
-    let aborted = (0..flows.len()).map(|i| eng.aborts(i)).collect();
-    let first_impact_s = eng.first_impact_s();
     Ok(FaultDagRunReport {
-        tenant: tenant_report(&eng, flows.len(), jobs),
-        failed,
-        aborted,
-        first_impact_s,
+        tenant: tenant_report(&eng, jobs),
+        failed: (0..flows.len()).map(|i| eng.failed(i)).collect(),
+        aborted: (0..flows.len()).map(|i| eng.aborts(i)).collect(),
+        first_impact_s: eng.first_impact_s(),
     })
 }
 
@@ -639,7 +635,7 @@ pub fn run_dag_event_driven(
 ) -> Result<DagRunReport> {
     let job_of = vec![0; flows.len()];
     let eng = run_engine(net, &engine_flows(flows, &job_of, per_message_overhead_s))?;
-    Ok(tenant_report(&eng, flows.len(), 1).report)
+    Ok(tenant_report(&eng, 1).report)
 }
 
 #[cfg(test)]

@@ -203,7 +203,8 @@ pub enum FaultError {
         /// The offending slowdown.
         slowdown: f64,
     },
-    /// A flap outage duration that is not finite and positive.
+    /// A flap outage duration that is not finite and positive, or whose
+    /// restore instant (`at_s + down_s`) overflows.
     BadFlapDuration {
         /// Index of the offending event in the script.
         index: usize,
@@ -251,7 +252,7 @@ impl fmt::Display for FaultError {
             ),
             FaultError::BadFlapDuration { index, down_s } => write!(
                 f,
-                "fault event {index}: flap duration {down_s} must be finite and > 0"
+                "fault event {index}: flap duration {down_s} must be finite, > 0 and end at a finite instant"
             ),
             FaultError::BadBackoff { backoff } => {
                 write!(f, "retry backoff {backoff} must be finite and >= 0")
@@ -349,7 +350,8 @@ impl FaultScript {
                     }
                 }
                 FaultKind::LinkFlap { link, down_s } => {
-                    if !down_s.is_finite() || down_s <= 0.0 {
+                    // The restore instant `at_s + down_s` must be finite too.
+                    if !down_s.is_finite() || down_s <= 0.0 || !(ev.at_s + down_s).is_finite() {
                         return Err(FaultError::BadFlapDuration { index, down_s });
                     }
                     if let Some(l) = limits.links {

@@ -1012,6 +1012,25 @@ mod tests {
     }
 
     #[test]
+    fn unschedulable_fault_and_retry_instants_are_typed_errors() {
+        let lane0 = GrantFault::LaneDown(Wavelength(0));
+        let mut eng = GrantEngine::new(&cfg(), Strategy::FirstFit, false, false).unwrap();
+        assert!(matches!(
+            eng.inject_faults(&[(f64::NAN, lane0)], FaultPolicy::Replan),
+            Err(OpticalError::BadConfig(_))
+        ));
+        // The transfer is in flight at the fault; its re-gate instant
+        // `5e299 + f64::MAX` overflows.
+        let slow = cfg().with_message_overhead(1e300);
+        let mut eng = GrantEngine::new(&slow, Strategy::FirstFit, false, false).unwrap();
+        eng.inject(&[item(0, 2, 1_000, 0.0, vec![])]).unwrap();
+        eng.inject_faults(&[(5e299, lane0)], FaultPolicy::RetryAfter(f64::MAX))
+            .unwrap();
+        assert_eq!(eng.step().unwrap(), Some(0.0));
+        assert!(matches!(eng.step(), Err(OpticalError::BadConfig(_))));
+    }
+
+    #[test]
     fn unknown_snapshot_version_is_rejected() {
         let eng = GrantEngine::new(&cfg(), Strategy::FirstFit, false, false).unwrap();
         let mut snap = eng.snapshot();

@@ -46,8 +46,6 @@ pub mod config;
 pub mod conflict;
 pub mod engine;
 pub mod error;
-#[doc(hidden)]
-pub mod legacy_faulted;
 pub mod path;
 pub mod physical;
 pub mod power;

@@ -130,6 +130,23 @@ fn malformed_fault_scripts_surface_typed_errors() {
         Err(WrhtError::Fault(FaultError::NodeOutOfRange { .. }))
     ));
 
+    // A flap whose restore instant overflows to +inf is malformed, though
+    // both of its parts are finite.
+    let overflow = FaultScript::new().with(
+        1e308,
+        FaultKind::LinkFlap {
+            link: 0,
+            down_s: 1e308,
+        },
+    );
+    assert!(matches!(
+        electrical.execute_dag_faulted(&dag, &overflow, policy),
+        Err(WrhtError::Fault(FaultError::BadFlapDuration {
+            index: 0,
+            ..
+        }))
+    ));
+
     // A rejected script must not poison the substrate: a clean run after
     // the errors is still fine.
     assert!(optical.execute_dag(&dag).is_ok());

@@ -5,8 +5,8 @@
 //! * a **single-group** hierarchy collapses to today's flat runs
 //!   **bit-exactly**, on BOTH substrate orders (optical-intra /
 //!   electrical-inter and the reverse), for random collective DAGs and
-//!   random physics — the composed layer must be a pure refactor when
-//!   there is nothing to compose;
+//!   random physics, clean and under a mid-run fault — the composed layer
+//!   must be a pure refactor when there is nothing to compose;
 //! * on **multi-group** hierarchies with random mixed-domain DAGs, the
 //!   cross-fabric co-simulation never deadlocks: every run completes, and
 //!   every transfer starts only after its release time and after every
@@ -27,6 +27,7 @@ use optical_sim::{NodeId, OpticalConfig, Transfer};
 use proptest::prelude::*;
 use wrht_core::baselines::lower_collective_to_optical;
 use wrht_core::dag::{DepSchedule, DepTransfer};
+use wrht_core::fault::{FaultKind, FaultPolicy, FaultScript};
 use wrht_core::hierarchy::{ComposedSubstrate, Domain, FabricSpec, HierSpec};
 use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
 
@@ -178,10 +179,19 @@ proptest! {
             };
             let mut flat_optical =
                 OpticalSubstrate::new(config).expect("valid optical config");
+            let flat = flat_optical.execute_dag(&dag).expect("flat optical");
             prop_assert_eq!(
                 composed.execute_dag(&dag).expect("composed optical-intra"),
-                flat_optical.execute_dag(&dag).expect("flat optical"),
+                flat.clone(),
                 "algorithm {} must collapse bit-exactly (optical intra)", name
+            );
+            // Fault injection delegates too: a lane lost mid-run.
+            let script = FaultScript::new()
+                .with(flat.makespan_s / 2.0, FaultKind::WavelengthDown { lane: 0 });
+            prop_assert_eq!(
+                format!("{:?}", composed.execute_dag_faulted(&dag, &script, FaultPolicy::Replan)),
+                format!("{:?}", flat_optical.execute_dag_faulted(&dag, &script, FaultPolicy::Replan)),
+                "algorithm {} faulted run must collapse bit-exactly (optical intra)", name
             );
 
             // Order 2: electrical intra, optical inter — collapses to the
@@ -194,10 +204,21 @@ proptest! {
             .expect("valid composed substrate");
             let mut flat_electrical =
                 ElectricalSubstrate::new(star_cluster(n, bandwidth, 0.0), overhead);
+            let flat = flat_electrical.execute_dag(&dag).expect("flat electrical");
             prop_assert_eq!(
                 composed.execute_dag(&dag).expect("composed electrical-intra"),
-                flat_electrical.execute_dag(&dag).expect("flat electrical"),
+                flat.clone(),
                 "algorithm {} must collapse bit-exactly (electrical intra)", name
+            );
+            // Fault injection delegates too: a link degraded mid-run.
+            let script = FaultScript::new().with(
+                flat.makespan_s / 2.0,
+                FaultKind::LinkDegrade { link: 0, factor: 0.5 },
+            );
+            prop_assert_eq!(
+                format!("{:?}", composed.execute_dag_faulted(&dag, &script, FaultPolicy::Replan)),
+                format!("{:?}", flat_electrical.execute_dag_faulted(&dag, &script, FaultPolicy::Replan)),
+                "algorithm {} faulted run must collapse bit-exactly (electrical intra)", name
             );
         }
     }
