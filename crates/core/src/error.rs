@@ -34,6 +34,12 @@ pub enum WrhtError {
     Fault(wrht_kernel::FaultError),
 }
 
+/// A configuration error, carried as [`OpticalError::BadConfig`] like the
+/// substrates' own.
+pub(crate) fn cfg_err(msg: &'static str) -> WrhtError {
+    OpticalError::BadConfig(msg).into()
+}
+
 impl fmt::Display for WrhtError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -30,9 +30,10 @@
 //!   [`Substrate::execute_dag`] partitions the DAG by domain and drives
 //!   one streaming engine per fabric — [`optical_sim::GrantEngine`] for
 //!   optical fabrics, [`electrical_sim::FluidEngine`] for electrical ones,
-//!   both running on the shared [`wrht_kernel::EventKernel`] semantics —
-//!   in a single event loop: at every iteration the engine with the
-//!   earliest pending event steps, its completions retire dependency
+//!   both running on the shared [`wrht_kernel::EventKernel`] semantics and
+//!   stepped through the same fabric-engine interface as the stream
+//!   service — in a single event loop: at every iteration the engine with
+//!   the earliest pending event steps, its completions retire dependency
 //!   edges, and transfers whose last predecessor just finished are
 //!   injected into *their* fabric's engine released at the bit-exact
 //!   completion instant. Cross-fabric dependencies are therefore honored
@@ -95,16 +96,14 @@
 //! assert!(report.transfers[1].start_s >= report.transfers[0].finish_s);
 //! ```
 
-use electrical_sim::{EngineFlow, FluidEngine, Network};
+use electrical_sim::Network;
 use optical_sim::sim::StepSchedule;
-use optical_sim::{
-    GrantCompletion, GrantEngine, GrantTransfer, NodeId, OpticalConfig, OpticalError, Strategy,
-    Transfer,
-};
+use optical_sim::{GrantTransfer, NodeId, OpticalConfig, Strategy, Transfer};
 use serde::{Deserialize, Serialize};
 
 use crate::dag::DepSchedule;
-use crate::error::Result;
+use crate::error::{cfg_err, Result};
+use crate::fabric::{Completion, FabricEngine};
 use crate::fault::{FaultPolicy, FaultRunReport, FaultScript};
 use crate::stream::{StreamCheckpoint, StreamOutcome, StreamSpec};
 use crate::substrate::{
@@ -112,10 +111,6 @@ use crate::substrate::{
     Substrate,
 };
 use crate::tenancy::{JobArbitration, TenantDagRun};
-
-fn cfg_err(msg: &'static str) -> crate::error::WrhtError {
-    OpticalError::BadConfig(msg).into()
-}
 
 /// The fabric a transfer of a hierarchical job traverses.
 ///
@@ -307,120 +302,59 @@ impl FabricSpec {
             } => Box::new(ElectricalSubstrate::new(network.clone(), *step_overhead_s)),
         })
     }
-}
 
-// ---------------------------------------------------------------------------
-// Per-fabric streaming engines
-// ---------------------------------------------------------------------------
-
-/// One transfer completion surfaced to the composed event loop, already
-/// resolved to its global DAG index.
-struct Done {
-    idx: usize,
-    start_s: f64,
-    finish_s: f64,
-}
-
-/// A fabric's streaming engine plus the bookkeeping that maps engine
-/// completions back to global DAG indices and global host ids down to the
-/// fabric's own address space.
-enum Fabric<'a> {
-    Optical {
-        eng: Box<GrantEngine>,
-        /// Global DAG index per engine order key (order keys are assigned
-        /// in injection order, one per transfer).
-        order_map: Vec<usize>,
-        /// Global id of the fabric's host 0 (group * group_size; 0 for
-        /// the inter fabric).
-        node_base: usize,
-        scratch: Vec<GrantCompletion>,
-        wavelengths: usize,
-        /// Instant of the engine's last processed event. Cross-fabric
-        /// gates can lie (slightly) in this engine's past — the fluid
-        /// engines surface completions through tolerated stale events, so
-        /// a finish instant may only become known after other engines
-        /// advanced beyond it. Injections clamp their release to this
-        /// clock: the transfer still starts no earlier than its gate.
-        clock_s: f64,
-    },
-    Electrical {
-        eng: Box<FluidEngine<'a>>,
-        /// Global DAG index per engine flow index (append-only).
-        flow_map: Vec<usize>,
-        node_base: usize,
-        overhead_s: f64,
-        /// Earliest release among flows injected since the last step; the
-        /// fluid engine schedules release events lazily inside `step`, so
-        /// the loop carries this to keep `peek` truthful (exactly as the
-        /// stream driver does).
-        pending_release: Option<f64>,
-        scratch: Vec<usize>,
-        /// Instant of the engine's last processed event (see the optical
-        /// variant's `clock_s`); kept for symmetry so late cross-fabric
-        /// gates never regress this engine's timeline either.
-        clock_s: f64,
-    },
-}
-
-impl<'a> Fabric<'a> {
-    fn build(spec: &'a FabricSpec, node_base: usize, arb: Option<&JobArbitration>) -> Result<Self> {
-        Ok(match spec {
-            FabricSpec::Optical { config, strategy } => {
-                let mut eng = GrantEngine::new(
-                    config,
-                    *strategy,
-                    arb.is_some(),
-                    arb.is_some_and(|a| a.fair_share),
-                )?;
-                if let Some(a) = arb {
-                    for &r in &a.rank {
-                        eng.add_job(r);
-                    }
-                }
-                Fabric::Optical {
-                    eng: Box::new(eng),
-                    order_map: Vec::new(),
-                    node_base,
-                    scratch: Vec::new(),
-                    wavelengths: config.wavelengths,
-                    clock_s: 0.0,
-                }
-            }
+    /// A fresh engine for this fabric; `arb` switches optical grants into
+    /// arbitrated (multi-job) order and registers the jobs' ranks.
+    fn engine(&self, arb: Option<&JobArbitration>) -> Result<FabricEngine<'_>> {
+        let mut eng = match self {
+            FabricSpec::Optical { config, strategy } => FabricEngine::optical(
+                config,
+                *strategy,
+                arb.is_some(),
+                arb.is_some_and(|a| a.fair_share),
+                None,
+            )?,
             FabricSpec::Electrical {
                 network,
                 step_overhead_s,
-            } => Fabric::Electrical {
-                eng: Box::new(FluidEngine::new(network)),
-                flow_map: Vec::new(),
-                node_base,
-                overhead_s: *step_overhead_s,
-                pending_release: None,
-                scratch: Vec::new(),
-                clock_s: 0.0,
-            },
-        })
-    }
-
-    /// Instant of the fabric's next pending event, if any.
-    fn peek(&mut self) -> Option<f64> {
-        match self {
-            Fabric::Optical { eng, .. } => eng.peek_time(),
-            Fabric::Electrical {
-                eng,
-                pending_release,
-                ..
-            } => match (eng.peek_time(), *pending_release) {
-                (Some(p), Some(r)) => Some(p.min(r)),
-                (Some(p), None) => Some(p),
-                (None, pending) => pending,
-            },
+            } => FabricEngine::electrical(network, *step_overhead_s, None)?,
+        };
+        if let Some(a) = arb {
+            for &r in &a.rank {
+                eng.add_job(r);
+            }
         }
+        Ok(eng)
     }
+}
 
-    /// Inject one dependency-free transfer, released at `release_s`
-    /// (absolute seconds; raised to the fabric's clock when a cross-fabric
-    /// gate surfaced late — see `clock_s`). Endpoints are global host ids
-    /// and are rebased into the fabric's address space.
+// ---------------------------------------------------------------------------
+// The composed loop's view of each fabric
+// ---------------------------------------------------------------------------
+
+/// One fabric of the composed loop: its engine plus the loop's own
+/// bookkeeping, which maps global host ids down to the fabric's address
+/// space and engine completions back to global DAG indices.
+struct Member<'a> {
+    eng: FabricEngine<'a>,
+    /// Global id of the fabric's host 0 (group * group_size; 0 for the
+    /// inter fabric).
+    node_base: usize,
+    /// Global DAG index per engine key (one key per injected transfer).
+    dag_index: Vec<usize>,
+    /// Latest batch instant the engine processed. Cross-fabric gates can
+    /// lie (slightly) in this engine's past — the fluid engines surface
+    /// completions through tolerated stale events, so a finish instant may
+    /// only become known after other engines advanced beyond it.
+    /// Injections clamp their release to this clock: the transfer still
+    /// starts no earlier than its gate.
+    clock_s: f64,
+}
+
+impl Member<'_> {
+    /// Inject one dependency-free transfer with global endpoints, released
+    /// at `release_s` (raised to the fabric's clock when its gate surfaced
+    /// late).
     fn inject(
         &mut self,
         idx: usize,
@@ -428,181 +362,37 @@ impl<'a> Fabric<'a> {
         release_s: f64,
         job: usize,
     ) -> Result<()> {
-        match self {
-            Fabric::Optical {
-                eng,
-                order_map,
-                node_base,
-                clock_s,
-                ..
-            } => {
-                let release_s = release_s.max(*clock_s);
-                let local = Transfer {
-                    src: NodeId(transfer.src.0 - *node_base),
-                    dst: NodeId(transfer.dst.0 - *node_base),
-                    ..transfer.clone()
-                };
-                eng.inject(&[GrantTransfer {
-                    transfer: local,
-                    release_s,
-                    deps: Vec::new(),
-                    job,
-                }])?;
-                order_map.push(idx);
-                Ok(())
-            }
-            Fabric::Electrical {
-                eng,
-                flow_map,
-                node_base,
-                overhead_s,
-                pending_release,
-                clock_s,
-                ..
-            } => {
-                let release_s = release_s.max(*clock_s);
-                let base = eng.inject(&[EngineFlow {
-                    src: transfer.src.0 - *node_base,
-                    dst: transfer.dst.0 - *node_base,
-                    bytes: transfer.bytes,
-                    release_s,
-                    delay_s: *overhead_s,
-                    deps: Vec::new(),
-                    job,
-                }])?;
-                debug_assert_eq!(base, flow_map.len());
-                flow_map.push(idx);
-                *pending_release = Some(match *pending_release {
-                    Some(r) => r.min(release_s),
-                    None => release_s,
-                });
-                Ok(())
-            }
-        }
+        self.eng.inject(&[GrantTransfer {
+            transfer: Transfer {
+                src: NodeId(transfer.src.0 - self.node_base),
+                dst: NodeId(transfer.dst.0 - self.node_base),
+                ..transfer.clone()
+            },
+            release_s: release_s.max(self.clock_s),
+            deps: Vec::new(),
+            job,
+        }])?;
+        self.dag_index.push(idx);
+        Ok(())
     }
 
-    /// Process the fabric's next event instant.
-    fn step(&mut self) -> Result<()> {
-        match self {
-            Fabric::Optical { eng, clock_s, .. } => {
-                if let Some(t) = eng.step()? {
-                    *clock_s = clock_s.max(t);
-                }
-                Ok(())
-            }
-            Fabric::Electrical {
-                eng,
-                pending_release,
-                clock_s,
-                ..
-            } => {
-                *pending_release = None;
-                if let Some(t) = eng.step()? {
-                    *clock_s = clock_s.max(t);
-                }
-                Ok(())
-            }
+    /// Step the engine, then drain its completions keyed by DAG index.
+    fn step(&mut self, done: &mut Vec<Completion>) -> Result<()> {
+        if let Some(t) = self.eng.step()? {
+            self.clock_s = self.clock_s.max(t);
         }
-    }
-
-    /// Drain completions recorded by previous steps, resolved to global
-    /// DAG indices.
-    fn drain(&mut self, out: &mut Vec<Done>) {
-        match self {
-            Fabric::Optical {
-                eng,
-                order_map,
-                scratch,
-                ..
-            } => {
-                scratch.clear();
-                eng.drain_completions(scratch);
-                out.extend(scratch.iter().map(|c| Done {
-                    idx: order_map[c.order as usize],
-                    start_s: c.start_s,
-                    finish_s: c.finish_s,
-                }));
-            }
-            Fabric::Electrical {
-                eng,
-                flow_map,
-                scratch,
-                ..
-            } => {
-                scratch.clear();
-                eng.drain_completed(scratch);
-                for &i in scratch.iter() {
-                    let (start_s, finish_s) = eng.window(i);
-                    out.push(Done {
-                        idx: flow_map[i],
-                        start_s,
-                        finish_s,
-                    });
-                }
-            }
+        let from = done.len();
+        self.eng.drain(done);
+        for c in &mut done[from..] {
+            c.key = self.dag_index[c.key];
         }
-    }
-
-    fn events(&self) -> u64 {
-        match self {
-            Fabric::Optical { eng, .. } => eng.events(),
-            Fabric::Electrical { eng, .. } => eng.events(),
-        }
-    }
-
-    fn peak_wavelength(&self) -> usize {
-        match self {
-            Fabric::Optical { eng, .. } => eng.peak_wavelength(),
-            Fabric::Electrical { .. } => 0,
-        }
-    }
-
-    /// (rate recomputations, solver work) — zero on optical fabrics.
-    fn solver_stats(&self) -> (usize, usize) {
-        match self {
-            Fabric::Optical { .. } => (0, 0),
-            Fabric::Electrical { eng, .. } => (eng.rate_recomputations(), eng.solver_work()),
-        }
-    }
-
-    /// Surface the fabric's own diagnostic when the composed run stalled
-    /// (stuck optical lanes, unreachable electrical flows).
-    fn stall_diagnostic(&mut self) -> Result<()> {
-        match self {
-            Fabric::Optical {
-                eng, wavelengths, ..
-            } => {
-                if let Some(lanes) = eng.stuck_lanes() {
-                    return Err(OpticalError::WavelengthsExhausted {
-                        available: *wavelengths,
-                        requested: lanes,
-                        step: 0,
-                    }
-                    .into());
-                }
-                Ok(())
-            }
-            Fabric::Electrical { eng, .. } => {
-                eng.step()?;
-                Ok(())
-            }
-        }
+        Ok(())
     }
 }
 
 // ---------------------------------------------------------------------------
 // The composed substrate
 // ---------------------------------------------------------------------------
-
-/// Result of one composed event loop.
-struct ComposedRun {
-    timings: Vec<DagTiming>,
-    makespan_s: f64,
-    peak_wavelength: usize,
-    rate_recomputations: usize,
-    solver_work: usize,
-    events: u64,
-}
 
 /// A hierarchical [`Substrate`]: per-group intra fabrics plus one
 /// inter-group fabric, executing one domain-tagged DAG in a single event
@@ -674,7 +464,7 @@ impl ComposedSubstrate {
     /// The composed event loop (see module docs for the determinism
     /// contract). `arb` switches the optical fabrics into arbitrated
     /// (multi-job) grant order and tags electrical flows with jobs.
-    fn run(&self, dag: &DepSchedule, arb: Option<&JobArbitration>) -> Result<ComposedRun> {
+    fn run(&self, dag: &DepSchedule, arb: Option<&JobArbitration>) -> Result<DagRunReport> {
         let domains = self.spec.domains(dag)?;
         if let Some(a) = arb {
             if a.job_of.len() != dag.len() {
@@ -686,11 +476,20 @@ impl ComposedSubstrate {
         }
 
         // Engines in fixed order: intra group 0 .. G-1, then inter.
-        let mut fabrics: Vec<Fabric<'_>> = Vec::with_capacity(self.spec.groups + 1);
-        for g in 0..self.spec.groups {
-            fabrics.push(Fabric::build(&self.intra, g * self.spec.group_size, arb)?);
+        let mut fabrics: Vec<Member<'_>> = Vec::with_capacity(self.spec.groups + 1);
+        for g in 0..=self.spec.groups {
+            let (spec, node_base) = if g < self.spec.groups {
+                (&self.intra, g * self.spec.group_size)
+            } else {
+                (&self.inter, 0)
+            };
+            fabrics.push(Member {
+                eng: spec.engine(arb)?,
+                node_base,
+                dag_index: Vec::new(),
+                clock_s: 0.0,
+            });
         }
-        fabrics.push(Fabric::build(&self.inter, 0, arb)?);
         let engine_of: Vec<usize> = domains
             .iter()
             .map(|d| match d {
@@ -730,14 +529,14 @@ impl ComposedSubstrate {
             n
         ];
         let mut completed = 0usize;
-        let mut done: Vec<Done> = Vec::new();
+        let mut done: Vec<Completion> = Vec::new();
         let mut ready: Vec<usize> = Vec::new();
         while completed < n {
             // The engine with the earliest pending event steps next;
             // ties go to the lowest engine index.
             let mut best: Option<(f64, usize)> = None;
             for (k, f) in fabrics.iter_mut().enumerate() {
-                if let Some(t) = f.peek() {
+                if let Some(t) = f.eng.peek() {
                     best = Some(match best {
                         Some((bt, bk)) if bt.total_cmp(&t).is_le() => (bt, bk),
                         _ => (t, k),
@@ -746,23 +545,19 @@ impl ComposedSubstrate {
             }
             done.clear();
             match best {
-                Some((_, k)) => {
-                    fabrics[k].step()?;
-                    fabrics[k].drain(&mut done);
-                }
+                Some((_, k)) => fabrics[k].step(&mut done)?,
                 None => {
                     // The fluid engine promotes released flows lazily
                     // inside `step`; give every fabric one chance to make
                     // progress before declaring the run stuck.
-                    let before: u64 = fabrics.iter().map(Fabric::events).sum();
+                    let before: u64 = fabrics.iter().map(|f| f.eng.events()).sum();
                     for f in fabrics.iter_mut() {
-                        f.step()?;
-                        f.drain(&mut done);
+                        f.step(&mut done)?;
                     }
-                    let after: u64 = fabrics.iter().map(Fabric::events).sum();
+                    let after: u64 = fabrics.iter().map(|f| f.eng.events()).sum();
                     if after == before && done.is_empty() {
                         for f in fabrics.iter_mut() {
-                            f.stall_diagnostic()?;
+                            f.eng.stall()?;
                         }
                         return Err(cfg_err("composed run stalled with unfinished transfers"));
                     }
@@ -770,12 +565,12 @@ impl ComposedSubstrate {
             }
             ready.clear();
             for c in &done {
-                timings[c.idx] = DagTiming {
+                timings[c.key] = DagTiming {
                     start_s: c.start_s,
                     finish_s: c.finish_s,
                 };
                 completed += 1;
-                for &j in &dependents[c.idx] {
+                for &j in &dependents[c.key] {
                     if c.finish_s > gate_s[j] {
                         gate_s[j] = c.finish_s;
                     }
@@ -794,38 +589,23 @@ impl ComposedSubstrate {
             }
         }
 
-        let makespan_s = timings.iter().fold(0.0f64, |m, t| m.max(t.finish_s));
-        let mut peak_wavelength = 0usize;
-        let mut rate_recomputations = 0usize;
-        let mut solver_work = 0usize;
-        let mut events = 0u64;
-        for f in &fabrics {
-            peak_wavelength = peak_wavelength.max(f.peak_wavelength());
-            let (r, w) = f.solver_stats();
-            rate_recomputations += r;
-            solver_work += w;
-            events += f.events();
-        }
-        Ok(ComposedRun {
-            timings,
-            makespan_s,
-            peak_wavelength,
-            rate_recomputations,
-            solver_work,
-            events,
-        })
-    }
-
-    fn dag_report(&self, run: ComposedRun) -> DagRunReport {
-        DagRunReport {
+        let mut report = DagRunReport {
             substrate: self.name.clone(),
-            makespan_s: run.makespan_s,
-            transfers: run.timings,
-            peak_wavelength: run.peak_wavelength,
-            rate_recomputations: run.rate_recomputations,
-            solver_work: run.solver_work,
-            events: run.events,
+            makespan_s: timings.iter().fold(0.0f64, |m, t| m.max(t.finish_s)),
+            transfers: timings,
+            peak_wavelength: 0,
+            rate_recomputations: 0,
+            solver_work: 0,
+            events: 0,
+        };
+        for f in &fabrics {
+            report.peak_wavelength = report.peak_wavelength.max(f.eng.peak_wavelength());
+            let (r, w) = f.eng.solver_stats();
+            report.rate_recomputations += r;
+            report.solver_work += w;
+            report.events += f.eng.events();
         }
+        Ok(report)
     }
 }
 
@@ -849,7 +629,7 @@ impl Substrate for ComposedSubstrate {
         let dag = DepSchedule::from_steps(schedule);
         let run = self.run(&dag, None)?;
         let mut stage_end = vec![0.0f64; schedule.len()];
-        for (t, timing) in dag.transfers().iter().zip(&run.timings) {
+        for (t, timing) in dag.transfers().iter().zip(&run.transfers) {
             stage_end[t.stage] = stage_end[t.stage].max(timing.finish_s);
         }
         let mut steps = Vec::with_capacity(schedule.len());
@@ -875,8 +655,7 @@ impl Substrate for ComposedSubstrate {
         if self.is_flat() {
             return self.flat()?.execute_dag(dag);
         }
-        let run = self.run(dag, None)?;
-        Ok(self.dag_report(run))
+        self.run(dag, None)
     }
 
     fn execute_dag_jobs(
@@ -898,7 +677,7 @@ impl Substrate for ComposedSubstrate {
             service[j] += t.transfer.bytes as f64;
         }
         Ok(TenantDagRun {
-            dag: self.dag_report(run),
+            dag: run,
             job_active_s: vec![0.0; jobs],
             job_service_bytes: service,
             job_peak_rate_bps: vec![0.0; jobs],
@@ -972,6 +751,9 @@ impl Substrate for ComposedSubstrate {
 mod tests {
     use super::*;
     use crate::dag::DepTransfer;
+    use crate::error::WrhtError;
+    use electrical_sim::graph::{Link, Router};
+    use electrical_sim::NetError;
 
     fn optical_cfg(n: usize) -> OpticalConfig {
         OpticalConfig::new(n, 4)
@@ -1138,6 +920,37 @@ mod tests {
         assert!(comp
             .execute_dag_faulted(&dag, &FaultScript::default(), FaultPolicy::FailJob)
             .is_err());
+    }
+
+    #[test]
+    fn composed_errors_match_the_flat_substrate() {
+        // A star whose host-2 downlink (link 5) has no capacity: the inter
+        // hop 1 -> 2 stalls once its intra predecessor has finished.
+        let mut links = vec![
+            Link {
+                capacity_bps: 1e9,
+                latency_s: 0.0,
+            };
+            8
+        ];
+        links[5].capacity_bps = 0.0;
+        let net = Network::from_parts(4, links, Router::Star);
+        let mut comp = ComposedSubstrate::new(
+            HierSpec::new(2, 2).unwrap(),
+            FabricSpec::optical(optical_cfg(2)),
+            FabricSpec::electrical(net.clone(), 0.0),
+        )
+        .unwrap();
+        let dag = DepSchedule::from_transfers(vec![
+            dep(t(0, 1, 1 << 20), vec![], 0),
+            dep(t(1, 2, 1 << 20), vec![0], 1),
+        ])
+        .unwrap();
+        let hop = DepSchedule::from_transfers(vec![dep(t(1, 2, 1 << 20), vec![], 0)]).unwrap();
+        let stalled = WrhtError::Electrical(NetError::StalledFlow { src: 1, dst: 2 });
+        assert_eq!(comp.execute_dag(&dag).unwrap_err(), stalled);
+        let mut flat = ElectricalSubstrate::new(net, 0.0);
+        assert_eq!(flat.execute_dag(&hop).unwrap_err(), stalled);
     }
 
     #[test]

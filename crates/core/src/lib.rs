@@ -84,6 +84,7 @@ pub mod cost;
 pub mod dag;
 pub mod describe;
 pub mod error;
+mod fabric;
 pub mod fault;
 pub mod hierarchy;
 

@@ -44,17 +44,13 @@
 
 use collectives::ring::ring_allreduce;
 use collectives::Schedule;
-use optical_sim::{NodeId, OpticalError, Transfer};
+use optical_sim::{NodeId, Transfer};
 use serde::{Deserialize, Serialize};
 
 use crate::alltoall::alltoall_pairs;
 use crate::dag::{DepSchedule, DepTransfer};
-use crate::error::Result;
+use crate::error::{cfg_err, Result};
 use crate::hierarchy::HierSpec;
-
-fn cfg_err(msg: &'static str) -> crate::error::WrhtError {
-    OpticalError::BadConfig(msg).into()
-}
 
 /// Degrees of a mixed-parallelism training job.
 ///

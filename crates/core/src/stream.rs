@@ -14,23 +14,26 @@
 //! * [`Admission`] — immediate admission, bounded-concurrency queueing, or
 //!   load shedding, layered on the existing [`SchedPolicy`] arbitration;
 //! * [`StreamSpec`] → [`Substrate::execute_stream`] — arriving jobs'
-//!   transfers are injected into the **running** engines
-//!   ([`optical_sim::GrantEngine`], [`electrical_sim::FluidEngine`]) — the
-//!   same engines the closed path drives, so a stream whose arrivals are
-//!   all known up front is bit-exact with [`Substrate::execute_jobs`];
+//!   transfers are injected into the **running** engine
+//!   ([`optical_sim::GrantEngine`] or [`electrical_sim::FluidEngine`]) —
+//!   the same engines the closed path drives, so a stream whose arrivals
+//!   are all known up front is bit-exact with [`Substrate::execute_jobs`].
+//!   One service loop drives both through the crate's fabric-engine
+//!   interface, the same one the composed hierarchical loop steps;
 //! * [`WindowedReport`] — per-window arrival/completion counts,
 //!   utilization, slowdown percentiles (streaming P², see
 //!   [`crate::quantile`]) and Jain fairness, computed online with bounded
 //!   memory: a million-arrival run never materializes per-job reports
 //!   unless [`StreamSpec::retain_jobs`] asks for them;
 //! * [`StreamCheckpoint`] — a versioned snapshot of the engine (kernel
-//!   events, clock, slots) plus the service state (generator, queue,
-//!   aggregates). Resuming is **byte-identical** to the uninterrupted run.
+//!   events, clock, slots; electrically also the job-slot allocator) plus
+//!   the service state (generator, queue, aggregates). Resuming is
+//!   **byte-identical** to the uninterrupted run.
 //!
 //! # Determinism contract
 //!
 //! The driver injects every arrival whose instant is at or before the
-//! engine's next event time (plus the substrate's coincidence tolerance)
+//! engine's next event time (plus the engine's coincidence tolerance)
 //! *before* stepping, and arrivals are nondecreasing, so an un-injected
 //! arrival can never fall inside a batch the engine is about to process.
 //! Promotion instants, grant decisions and event counts therefore match the
@@ -60,19 +63,15 @@
 use serde::{Deserialize, Serialize, Value};
 
 use crate::dag::DepSchedule;
-use crate::error::Result;
+use crate::error::{cfg_err, Result};
+use crate::fabric::{Completion, FabricEngine};
 use crate::quantile::{PercentileSet, Percentiles};
-use crate::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
+use crate::substrate::Substrate;
 use crate::tenancy::{JobWorkload, SchedPolicy};
-use electrical_sim::{EngineFlow, FluidEngine, FluidEngineSnapshot, Network};
-use optical_sim::{GrantCompletion, GrantEngine, GrantEngineSnapshot, GrantTransfer, OpticalError};
+use optical_sim::GrantTransfer;
 
 /// Version tag of [`StreamCheckpoint`]; bump on any layout change.
-pub const STREAM_CHECKPOINT_VERSION: u32 = 1;
-
-fn cfg_err(msg: &'static str) -> crate::error::WrhtError {
-    OpticalError::BadConfig(msg).into()
-}
+pub const STREAM_CHECKPOINT_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Arrival processes
@@ -841,337 +840,21 @@ fn lower_templates<S: Substrate + ?Sized>(
 }
 
 // ---------------------------------------------------------------------------
-// The engine abstraction both substrates drive through
-// ---------------------------------------------------------------------------
-
-/// One transfer completion surfaced to the driver.
-struct EngineDone {
-    slot: usize,
-    start_s: f64,
-    finish_s: f64,
-}
-
-/// The minimal streaming-engine surface the service driver needs; adapters
-/// wrap [`GrantEngine`] and [`FluidEngine`].
-trait StreamEngine {
-    /// Coincidence tolerance added to the event horizon when deciding
-    /// which arrivals to inject before the next step (the electrical
-    /// engine promotes within [`electrical_sim::sim::EPS`]; the optical
-    /// engine batches bit-identical instants only).
-    fn admit_slack(&self) -> f64;
-    /// Events processed so far (for the report).
-    fn events(&self) -> u64;
-    /// Instant of the next pending event (including releases of freshly
-    /// injected, not-yet-stepped flows), if any.
-    fn peek_time(&mut self) -> Option<f64>;
-    /// Register a job slot with the given grant rank.
-    fn add_job(&mut self, rank: u64) -> usize;
-    /// Release a finished job's slot for reuse.
-    fn retire_job(&mut self, slot: usize);
-    /// Inject one job's DAG with every release offset by `offset_s`.
-    fn inject_job(&mut self, dag: &DepSchedule, offset_s: f64, slot: usize) -> Result<()>;
-    /// Process the next event instant.
-    fn step(&mut self) -> Result<()>;
-    /// Drain transfer completions recorded by previous steps.
-    fn drain(&mut self, out: &mut Vec<EngineDone>);
-    /// Surface the substrate's diagnostic when the stream drained with
-    /// unfinished jobs (stuck lanes, unreachable flows).
-    fn finish_check(&mut self) -> Result<()>;
-    /// Serialized engine image for a [`StreamCheckpoint`].
-    fn snapshot(&self) -> Value;
-}
-
-// -- optical adapter --------------------------------------------------------
-
-struct OpticalStream {
-    eng: GrantEngine,
-    wavelengths: usize,
-    scratch: Vec<GrantCompletion>,
-}
-
-impl OpticalStream {
-    fn build(sub: &OpticalSubstrate, spec: &StreamSpec) -> Result<Self> {
-        let eng = GrantEngine::new(
-            sub.config(),
-            sub.strategy(),
-            true,
-            spec.policy == SchedPolicy::FairShare,
-        )?;
-        Ok(Self {
-            eng,
-            wavelengths: sub.config().wavelengths,
-            scratch: Vec::new(),
-        })
-    }
-
-    fn restore(sub: &OpticalSubstrate, spec: &StreamSpec, image: &Value) -> Result<Self> {
-        let snap = GrantEngineSnapshot::from_value(image)
-            .map_err(|_| cfg_err("malformed stream checkpoint"))?;
-        let eng = GrantEngine::restore(
-            sub.config(),
-            sub.strategy(),
-            true,
-            spec.policy == SchedPolicy::FairShare,
-            &snap,
-        )?;
-        Ok(Self {
-            eng,
-            wavelengths: sub.config().wavelengths,
-            scratch: Vec::new(),
-        })
-    }
-}
-
-impl StreamEngine for OpticalStream {
-    fn admit_slack(&self) -> f64 {
-        // The optical kernel batches bit-identical instants only; an
-        // arrival strictly after the next event can never join its batch.
-        0.0
-    }
-
-    fn events(&self) -> u64 {
-        self.eng.events()
-    }
-
-    fn peek_time(&mut self) -> Option<f64> {
-        self.eng.peek_time()
-    }
-
-    fn add_job(&mut self, rank: u64) -> usize {
-        self.eng.add_job(rank)
-    }
-
-    fn retire_job(&mut self, slot: usize) {
-        self.eng.retire_job(slot);
-    }
-
-    fn inject_job(&mut self, dag: &DepSchedule, offset_s: f64, slot: usize) -> Result<()> {
-        let batch: Vec<GrantTransfer> = dag
-            .transfers()
-            .iter()
-            .map(|t| GrantTransfer {
-                transfer: t.transfer.clone(),
-                // The identical float expression the closed compose() uses
-                // (`arrival + release`), so grant instants match bit-exactly.
-                release_s: offset_s + t.release_s,
-                deps: t.deps.clone(),
-                job: slot,
-            })
-            .collect();
-        self.eng.inject(&batch)?;
-        Ok(())
-    }
-
-    fn step(&mut self) -> Result<()> {
-        self.eng.step()?;
-        Ok(())
-    }
-
-    fn drain(&mut self, out: &mut Vec<EngineDone>) {
-        self.scratch.clear();
-        self.eng.drain_completions(&mut self.scratch);
-        out.extend(self.scratch.iter().map(|c| EngineDone {
-            slot: c.job,
-            start_s: c.start_s,
-            finish_s: c.finish_s,
-        }));
-    }
-
-    fn finish_check(&mut self) -> Result<()> {
-        if let Some(lanes) = self.eng.stuck_lanes() {
-            // The same error value the closed path raises for a transfer
-            // whose lane demand can never be granted.
-            return Err(OpticalError::WavelengthsExhausted {
-                available: self.wavelengths,
-                requested: lanes,
-                step: 0,
-            }
-            .into());
-        }
-        Ok(())
-    }
-
-    fn snapshot(&self) -> Value {
-        self.eng.snapshot().to_value()
-    }
-}
-
-// -- electrical adapter -----------------------------------------------------
-
-/// Engine image plus the adapter's own slot bookkeeping (the fluid engine
-/// has no job-slot table of its own, so the mapping rides along in the
-/// checkpoint).
-#[derive(Serialize, Deserialize)]
-struct ElectricalStreamState {
-    engine: FluidEngineSnapshot,
-    flow_slot: Vec<usize>,
-    free_slots: Vec<usize>,
-    next_slot: usize,
-    pending_release: Option<f64>,
-}
-
-struct ElectricalStream<'a> {
-    eng: FluidEngine<'a>,
-    overhead_s: f64,
-    /// Owning job slot of every engine flow (engine flow indices are
-    /// append-only).
-    flow_slot: Vec<usize>,
-    free_slots: Vec<usize>,
-    next_slot: usize,
-    /// Earliest release among flows injected since the last step. The
-    /// fluid engine schedules release events lazily inside `step`, so the
-    /// adapter carries this to keep `peek_time` truthful right after an
-    /// injection.
-    pending_release: Option<f64>,
-    scratch: Vec<usize>,
-}
-
-impl<'a> ElectricalStream<'a> {
-    fn build(net: &'a Network, overhead_s: f64) -> Self {
-        Self {
-            eng: FluidEngine::new(net),
-            overhead_s,
-            flow_slot: Vec::new(),
-            free_slots: Vec::new(),
-            next_slot: 0,
-            pending_release: None,
-            scratch: Vec::new(),
-        }
-    }
-
-    fn restore(net: &'a Network, overhead_s: f64, image: &Value) -> Result<Self> {
-        let state = ElectricalStreamState::from_value(image)
-            .map_err(|_| cfg_err("malformed stream checkpoint"))?;
-        let eng = FluidEngine::restore(net, &state.engine)?;
-        Ok(Self {
-            eng,
-            overhead_s,
-            flow_slot: state.flow_slot,
-            free_slots: state.free_slots,
-            next_slot: state.next_slot,
-            pending_release: state.pending_release,
-            scratch: Vec::new(),
-        })
-    }
-}
-
-impl StreamEngine for ElectricalStream<'_> {
-    fn admit_slack(&self) -> f64 {
-        // The fluid engine promotes anything within EPS of the batch
-        // instant, so arrivals inside that tolerance belong to the batch.
-        electrical_sim::sim::EPS
-    }
-
-    fn events(&self) -> u64 {
-        self.eng.events()
-    }
-
-    fn peek_time(&mut self) -> Option<f64> {
-        match (self.eng.peek_time(), self.pending_release) {
-            (Some(p), Some(r)) => Some(p.min(r)),
-            (Some(p), None) => Some(p),
-            (None, pending) => pending,
-        }
-    }
-
-    fn add_job(&mut self, _rank: u64) -> usize {
-        // Max-min rates are policy-free; ranks only matter optically. The
-        // slot still identifies the job for completion attribution.
-        if let Some(slot) = self.free_slots.pop() {
-            slot
-        } else {
-            self.next_slot += 1;
-            self.next_slot - 1
-        }
-    }
-
-    fn retire_job(&mut self, slot: usize) {
-        self.free_slots.push(slot);
-    }
-
-    fn inject_job(&mut self, dag: &DepSchedule, offset_s: f64, slot: usize) -> Result<()> {
-        let batch: Vec<EngineFlow> = dag
-            .transfers()
-            .iter()
-            .map(|t| EngineFlow {
-                src: t.transfer.src.0,
-                dst: t.transfer.dst.0,
-                bytes: t.transfer.bytes,
-                // Identical float expression to the closed compose().
-                release_s: offset_s + t.release_s,
-                delay_s: self.overhead_s,
-                deps: t.deps.clone(),
-                job: slot,
-            })
-            .collect();
-        for (flow, t) in batch.iter().zip(dag.transfers()) {
-            if t.deps.is_empty() {
-                self.pending_release = Some(match self.pending_release {
-                    Some(r) => r.min(flow.release_s),
-                    None => flow.release_s,
-                });
-            }
-        }
-        let base = self.eng.inject(&batch)?;
-        debug_assert_eq!(base, self.flow_slot.len());
-        self.flow_slot.resize(base + batch.len(), slot);
-        Ok(())
-    }
-
-    fn step(&mut self) -> Result<()> {
-        self.pending_release = None;
-        self.eng.step()?;
-        Ok(())
-    }
-
-    fn drain(&mut self, out: &mut Vec<EngineDone>) {
-        self.scratch.clear();
-        self.eng.drain_completed(&mut self.scratch);
-        for &i in &self.scratch {
-            let (start_s, finish_s) = self.eng.window(i);
-            out.push(EngineDone {
-                slot: self.flow_slot[i],
-                start_s,
-                finish_s,
-            });
-        }
-    }
-
-    fn finish_check(&mut self) -> Result<()> {
-        // The closed path's "unreachable flows" diagnostic surfaces from a
-        // step on the drained engine.
-        self.eng.step()?;
-        Ok(())
-    }
-
-    fn snapshot(&self) -> Value {
-        ElectricalStreamState {
-            engine: self.eng.snapshot(),
-            flow_slot: self.flow_slot.clone(),
-            free_slots: self.free_slots.clone(),
-            next_slot: self.next_slot,
-            pending_release: self.pending_release,
-        }
-        .to_value()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The service driver
 // ---------------------------------------------------------------------------
 
-struct Driver<'a, E: StreamEngine> {
-    eng: &'a mut E,
+struct Driver<'a, 'n> {
+    eng: &'a mut FabricEngine<'n>,
     spec: &'a StreamSpec,
     lowered: &'a [LoweredTemplate],
     st: &'a mut ServiceState,
 }
 
-impl<E: StreamEngine> Driver<'_, E> {
+impl Driver<'_, '_> {
     /// Pump the service loop. Returns `true` when paused at the requested
     /// arrival count, `false` when the stream ran dry and drained.
     fn run(&mut self, pause_after_arrivals: Option<u64>) -> Result<bool> {
-        let mut done: Vec<EngineDone> = Vec::new();
+        let mut done: Vec<Completion> = Vec::new();
         loop {
             if let Some(limit) = pause_after_arrivals {
                 if self.st.arrivals >= limit {
@@ -1183,46 +866,37 @@ impl<E: StreamEngine> Driver<'_, E> {
                     self.st.next_arrival = Some((self.st.gen.idx - 1, t));
                 }
             }
-            let peek = self.eng.peek_time();
+            let peek = self.eng.peek();
             if let Some((idx, a)) = self.st.next_arrival {
                 // Inject every arrival at or before the next event horizon
                 // so the engine never processes a batch an un-injected
                 // arrival should have joined. With an idle engine the
                 // horizon is the arrival itself.
-                let horizon = peek.map_or(a, |p| p + self.eng.admit_slack());
+                let horizon = peek.map_or(a, |p| p + self.eng.coincidence_s());
                 if a <= horizon {
                     self.st.next_arrival = None;
                     self.dispatch_arrival(idx, a)?;
                     continue;
                 }
             }
-            if peek.is_none() {
-                if self.st.in_service == 0 {
-                    break;
-                }
-                // The fluid engine promotes lazily inside `step`: a
-                // completion can leave the kernel momentarily empty with
-                // dependents unblocked but not yet scheduled. Step anyway —
-                // the promote pass schedules them — and treat a step that
-                // makes no progress as a stuck stream.
-                let before = self.eng.events();
-                self.eng.step()?;
-                done.clear();
-                self.eng.drain(&mut done);
-                for d in &done {
-                    self.complete_one(d)?;
-                }
-                if self.eng.events() == before && done.is_empty() {
-                    self.eng.finish_check()?;
-                    return Err(cfg_err("stream drained with unfinished jobs"));
-                }
-                continue;
+            if peek.is_none() && self.st.in_service == 0 {
+                break;
             }
+            // With no event pending, step anyway: the fluid engine promotes
+            // lazily inside `step`, so a completion can leave the kernel
+            // momentarily empty with dependents unblocked but not yet
+            // scheduled. Such a step that makes no progress means a stuck
+            // stream.
+            let before = self.eng.events();
             self.eng.step()?;
             done.clear();
             self.eng.drain(&mut done);
             for d in &done {
                 self.complete_one(d)?;
+            }
+            if peek.is_none() && self.eng.events() == before && done.is_empty() {
+                self.eng.stall()?;
+                return Err(cfg_err("stream drained with unfinished jobs"));
             }
         }
         Ok(false)
@@ -1290,7 +964,20 @@ impl<E: StreamEngine> Driver<'_, E> {
             idx,
         );
         let slot = self.eng.add_job(rank);
-        self.eng.inject_job(&lowered.dag, admit_s, slot)?;
+        let batch: Vec<GrantTransfer> = lowered
+            .dag
+            .transfers()
+            .iter()
+            .map(|t| GrantTransfer {
+                transfer: t.transfer.clone(),
+                // The identical float expression the closed compose() uses
+                // (`arrival + release`), so grant instants match bit-exactly.
+                release_s: admit_s + t.release_s,
+                deps: t.deps.clone(),
+                job: slot,
+            })
+            .collect();
+        self.eng.inject(&batch)?;
         if slot >= self.st.live.len() {
             self.st.live.resize(slot + 1, None);
         }
@@ -1310,9 +997,9 @@ impl<E: StreamEngine> Driver<'_, E> {
         Ok(())
     }
 
-    fn complete_one(&mut self, d: &EngineDone) -> Result<()> {
+    fn complete_one(&mut self, d: &Completion) -> Result<()> {
         let finished = {
-            let Some(job) = self.st.live.get_mut(d.slot).and_then(Option::as_mut) else {
+            let Some(job) = self.st.live.get_mut(d.job).and_then(Option::as_mut) else {
                 return Err(cfg_err("completion for an unknown job slot"));
             };
             job.remaining -= 1;
@@ -1328,10 +1015,10 @@ impl<E: StreamEngine> Driver<'_, E> {
         if !finished {
             return Ok(());
         }
-        let Some(job) = self.st.live[d.slot].take() else {
+        let Some(job) = self.st.live[d.job].take() else {
             return Err(cfg_err("completion for an unknown job slot"));
         };
-        self.eng.retire_job(d.slot);
+        self.eng.retire_job(d.job);
         self.st.in_service -= 1;
         self.st.record_finish(
             self.spec,
@@ -1438,17 +1125,37 @@ fn finish_report(
     }
 }
 
-fn outcome<E: StreamEngine>(
-    eng: &E,
+/// Run a stream on a flat substrate, from the start or from `resume`,
+/// pausing once `pause_after_arrivals` arrivals were generated. `engine`
+/// builds the substrate's engine, restoring the checkpoint image if given.
+pub(crate) fn run_stream<S: Substrate + ?Sized>(
+    sub: &mut S,
     spec: &StreamSpec,
-    st: ServiceState,
-    substrate: &str,
-    paused: bool,
-) -> StreamOutcome {
-    if paused {
+    resume: Option<&StreamCheckpoint>,
+    pause_after_arrivals: Option<u64>,
+    engine: for<'s> fn(&'s S, &StreamSpec, Option<&Value>) -> Result<FabricEngine<'s>>,
+) -> Result<StreamOutcome> {
+    spec.validate()?;
+    let lowered = lower_templates(sub, spec)?;
+    let sub: &S = sub;
+    let (mut eng, mut st) = match resume {
+        None => (engine(sub, spec, None)?, ServiceState::fresh(spec)),
+        Some(ck) => {
+            check_checkpoint(ck, sub.name(), spec)?;
+            (engine(sub, spec, Some(&ck.engine))?, ck.state.clone())
+        }
+    };
+    let paused = Driver {
+        eng: &mut eng,
+        spec,
+        lowered: &lowered,
+        st: &mut st,
+    }
+    .run(pause_after_arrivals)?;
+    Ok(if paused {
         StreamOutcome::Paused(Box::new(StreamCheckpoint {
             version: STREAM_CHECKPOINT_VERSION,
-            substrate: substrate.into(),
+            substrate: sub.name().into(),
             arrivals_seen: st.arrivals,
             templates: spec.templates.len(),
             policy: spec.policy,
@@ -1456,75 +1163,19 @@ fn outcome<E: StreamEngine>(
             state: st,
         }))
     } else {
-        StreamOutcome::Done(finish_report(spec, st, substrate, eng.events()))
-    }
-}
-
-pub(crate) fn optical_stream(
-    sub: &mut OpticalSubstrate,
-    spec: &StreamSpec,
-    resume: Option<&StreamCheckpoint>,
-    pause_after_arrivals: Option<u64>,
-) -> Result<StreamOutcome> {
-    spec.validate()?;
-    let lowered = lower_templates(sub, spec)?;
-    let (mut eng, mut st) = match resume {
-        None => (OpticalStream::build(sub, spec)?, ServiceState::fresh(spec)),
-        Some(ck) => {
-            check_checkpoint(ck, "optical", spec)?;
-            (
-                OpticalStream::restore(sub, spec, &ck.engine)?,
-                ck.state.clone(),
-            )
-        }
-    };
-    let paused = Driver {
-        eng: &mut eng,
-        spec,
-        lowered: &lowered,
-        st: &mut st,
-    }
-    .run(pause_after_arrivals)?;
-    Ok(outcome(&eng, spec, st, "optical", paused))
-}
-
-pub(crate) fn electrical_stream(
-    sub: &mut ElectricalSubstrate,
-    spec: &StreamSpec,
-    resume: Option<&StreamCheckpoint>,
-    pause_after_arrivals: Option<u64>,
-) -> Result<StreamOutcome> {
-    spec.validate()?;
-    let lowered = lower_templates(sub, spec)?;
-    let overhead_s = sub.step_overhead_s();
-    let mut st;
-    let net = sub.network();
-    let mut eng = match resume {
-        None => {
-            st = ServiceState::fresh(spec);
-            ElectricalStream::build(net, overhead_s)
-        }
-        Some(ck) => {
-            check_checkpoint(ck, "electrical", spec)?;
-            st = ck.state.clone();
-            ElectricalStream::restore(net, overhead_s, &ck.engine)?
-        }
-    };
-    let paused = Driver {
-        eng: &mut eng,
-        spec,
-        lowered: &lowered,
-        st: &mut st,
-    }
-    .run(pause_after_arrivals)?;
-    Ok(outcome(&eng, spec, st, "electrical", paused))
+        StreamOutcome::Done(finish_report(spec, st, sub.name(), eng.events()))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::WrhtError;
+    use crate::substrate::{ElectricalSubstrate, OpticalSubstrate};
     use crate::tenancy::{Job, TenancySpec};
+    use electrical_sim::NetError;
     use optical_sim::sim::StepSchedule;
+    use optical_sim::OpticalError;
     use optical_sim::{NodeId, OpticalConfig, Transfer};
 
     fn optical() -> OpticalSubstrate {
@@ -1739,6 +1390,42 @@ mod tests {
         assert!(optical().resume_stream(&spec, &stale, None).is_err());
         let other_policy = stream_spec(SchedPolicy::Priority);
         assert!(optical().resume_stream(&other_policy, &ck, None).is_err());
+
+        let ck = electrical()
+            .execute_stream_until(&spec, Some(1))
+            .unwrap()
+            .checkpoint()
+            .unwrap();
+        let resume = |ck: &StreamCheckpoint| electrical().resume_stream(&spec, ck, None);
+        let mut stale = ck.clone();
+        stale.version = STREAM_CHECKPOINT_VERSION - 1;
+        assert!(matches!(
+            resume(&stale),
+            Err(WrhtError::Optical(OpticalError::BadConfig(_)))
+        ));
+        // A fluid-engine image in the previous snapshot layout.
+        let mut old_engine = ck.clone();
+        let Value::Map(image) = &mut old_engine.engine else {
+            panic!("electrical engine image is a map");
+        };
+        let Some((_, Value::Map(fluid))) = image.iter_mut().find(|(k, _)| k == "engine") else {
+            panic!("electrical engine image carries the fluid snapshot");
+        };
+        let Some((_, version)) = fluid.iter_mut().find(|(k, _)| k == "version") else {
+            panic!("fluid snapshot carries its version");
+        };
+        *version = Value::I64(1);
+        assert!(matches!(
+            resume(&old_engine),
+            Err(WrhtError::Electrical(NetError::BadConfig(_)))
+        ));
+        let mut malformed = ck.clone();
+        malformed.engine = Value::Null;
+        assert!(matches!(
+            resume(&malformed),
+            Err(WrhtError::Optical(OpticalError::BadConfig(_)))
+        ));
+        assert!(resume(&ck).is_ok());
     }
 
     #[test]

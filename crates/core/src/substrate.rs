@@ -36,18 +36,19 @@
 
 use crate::dag::DepSchedule;
 use crate::error::Result;
+use crate::fabric::FabricEngine;
 use crate::fault::{
     fault_cluster_report, FaultClusterReport, FaultPolicy, FaultRunReport, FaultScript, FaultTiming,
 };
 use crate::stream::{StreamCheckpoint, StreamOutcome, StreamReport, StreamSpec};
-use crate::tenancy::{ClusterReport, JobArbitration, TenancySpec, TenantDagRun};
+use crate::tenancy::{ClusterReport, JobArbitration, SchedPolicy, TenancySpec, TenantDagRun};
 use electrical_sim::runner::{
     run_dag, run_dag_jobs, run_dag_jobs_faulted, run_steps, DagFlow, StepTransfer,
 };
 use electrical_sim::Network;
 use optical_sim::sim::{DagTransfer, StepReport, StepSchedule};
 use optical_sim::{OpticalConfig, RingSimulator, Strategy};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Timing and accounting for one executed step, common to both substrates.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -337,6 +338,18 @@ impl OpticalSubstrate {
         self.strategy
     }
 
+    /// The stream service's engine: arbitrated, least-service-first under
+    /// [`SchedPolicy::FairShare`].
+    fn stream_engine(&self, spec: &StreamSpec, image: Option<&Value>) -> Result<FabricEngine<'_>> {
+        FabricEngine::optical(
+            self.config(),
+            self.strategy,
+            true,
+            spec.policy == SchedPolicy::FairShare,
+            image,
+        )
+    }
+
     fn run_faulted(
         &mut self,
         dag: &DepSchedule,
@@ -505,7 +518,7 @@ impl Substrate for OpticalSubstrate {
         spec: &StreamSpec,
         pause_after_arrivals: Option<u64>,
     ) -> Result<StreamOutcome> {
-        crate::stream::optical_stream(self, spec, None, pause_after_arrivals)
+        crate::stream::run_stream(self, spec, None, pause_after_arrivals, Self::stream_engine)
     }
 
     fn resume_stream(
@@ -514,7 +527,13 @@ impl Substrate for OpticalSubstrate {
         checkpoint: &StreamCheckpoint,
         pause_after_arrivals: Option<u64>,
     ) -> Result<StreamOutcome> {
-        crate::stream::optical_stream(self, spec, Some(checkpoint), pause_after_arrivals)
+        crate::stream::run_stream(
+            self,
+            spec,
+            Some(checkpoint),
+            pause_after_arrivals,
+            Self::stream_engine,
+        )
     }
 }
 
@@ -551,6 +570,11 @@ impl ElectricalSubstrate {
     #[must_use]
     pub fn step_overhead_s(&self) -> f64 {
         self.step_overhead_s
+    }
+
+    /// The stream service's engine.
+    fn stream_engine(&self, _spec: &StreamSpec, image: Option<&Value>) -> Result<FabricEngine<'_>> {
+        FabricEngine::electrical(&self.net, self.step_overhead_s, image)
     }
 
     fn run_faulted(
@@ -744,7 +768,7 @@ impl Substrate for ElectricalSubstrate {
         spec: &StreamSpec,
         pause_after_arrivals: Option<u64>,
     ) -> Result<StreamOutcome> {
-        crate::stream::electrical_stream(self, spec, None, pause_after_arrivals)
+        crate::stream::run_stream(self, spec, None, pause_after_arrivals, Self::stream_engine)
     }
 
     fn resume_stream(
@@ -753,7 +777,13 @@ impl Substrate for ElectricalSubstrate {
         checkpoint: &StreamCheckpoint,
         pause_after_arrivals: Option<u64>,
     ) -> Result<StreamOutcome> {
-        crate::stream::electrical_stream(self, spec, Some(checkpoint), pause_after_arrivals)
+        crate::stream::run_stream(
+            self,
+            spec,
+            Some(checkpoint),
+            pause_after_arrivals,
+            Self::stream_engine,
+        )
     }
 }
 

@@ -54,7 +54,7 @@ use serde::{Deserialize, Serialize};
 use wrht_kernel::{EventKernel, FaultPolicy};
 
 /// Version tag of [`FluidEngineSnapshot`]; bump on any layout change.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// One substrate-lowered fault for [`FluidEngine::inject_faults`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -127,6 +127,7 @@ pub struct FluidEngineSnapshot {
     job_service_bytes: Vec<u64>,
     job_peak_rate: Vec<u64>,
     pending: Vec<(u64, Ev)>,
+    pending_release: Option<u64>,
 }
 
 fn to_bits(v: &[f64]) -> Vec<u64> {
@@ -171,6 +172,10 @@ pub struct FluidEngine<'a> {
     job_active_s: Vec<f64>,
     job_service_bytes: Vec<f64>,
     job_peak_rate: Vec<f64>,
+    /// Earliest release among dependency-free flows injected since the
+    /// last step: their release events are only scheduled inside `step`,
+    /// so `peek_time` merges this in.
+    pending_release: Option<f64>,
     // Scratch, allocated once (not part of snapshots).
     link_seen: Vec<bool>,
     flow_seen: Vec<bool>,
@@ -233,6 +238,7 @@ impl<'a> FluidEngine<'a> {
             job_active_s: Vec::new(),
             job_service_bytes: Vec::new(),
             job_peak_rate: Vec::new(),
+            pending_release: None,
             link_seen: vec![false; n_links],
             flow_seen: Vec::new(),
             flow_comp: Vec::new(),
@@ -291,6 +297,10 @@ impl<'a> FluidEngine<'a> {
                 self.dependents[base + d].push(i);
             }
             self.phase.push(if f.deps.is_empty() {
+                self.pending_release = Some(
+                    self.pending_release
+                        .map_or(f.release_s, |r| r.min(f.release_s)),
+                );
                 Phase::Pending
             } else {
                 Phase::Blocked
@@ -351,14 +361,15 @@ impl<'a> FluidEngine<'a> {
         Ok(())
     }
 
-    /// Timestamp of the next pending event, if any. Events for freshly
-    /// injected flows are only scheduled inside [`FluidEngine::step`]'s
-    /// promotion scan, so this can overestimate right after an injection —
-    /// callers injecting arrivals in time order are unaffected (a too-late
-    /// peek only admits *extra* arrivals early, which is harmless: a
-    /// pending flow behaves identically however early it is injected).
+    /// Timestamp of the next pending event, if any — including the
+    /// releases of dependency-free flows injected since the last step,
+    /// whose events [`FluidEngine::step`]'s promotion scan has not
+    /// scheduled yet.
     pub fn peek_time(&mut self) -> Option<f64> {
-        self.kernel.peek_time()
+        match (self.kernel.peek_time(), self.pending_release) {
+            (Some(p), Some(r)) => Some(p.min(r)),
+            (next, pending) => next.or(pending),
+        }
     }
 
     /// Process the next event instant: promote newly eligible flows,
@@ -373,6 +384,7 @@ impl<'a> FluidEngine<'a> {
     /// dark link, and the closed path's "unreachable flows" error when the
     /// queue drains with unfinished flows and no failure to strand them.
     pub fn step(&mut self) -> Result<Option<f64>> {
+        self.pending_release = None;
         let now = self.kernel.now();
 
         // Promote flows whose gates opened or timers expired. Completions
@@ -879,6 +891,12 @@ impl<'a> FluidEngine<'a> {
         (self.start[i], self.finish[i])
     }
 
+    /// Job tag of flow `i` ([`EngineFlow::job`]).
+    #[must_use]
+    pub fn flow_job(&self, i: usize) -> usize {
+        self.flows[i].job
+    }
+
     /// Completion instant of the last finished flow, seconds.
     #[must_use]
     pub fn makespan(&self) -> f64 {
@@ -952,6 +970,7 @@ impl<'a> FluidEngine<'a> {
                 .into_iter()
                 .map(|(t, ev)| (t.to_bits(), *ev))
                 .collect(),
+            pending_release: self.pending_release.map(f64::to_bits),
         }
     }
 
@@ -1001,6 +1020,7 @@ impl<'a> FluidEngine<'a> {
         eng.job_active_s = from_bits(&snap.job_active_s);
         eng.job_service_bytes = from_bits(&snap.job_service_bytes);
         eng.job_peak_rate = from_bits(&snap.job_peak_rate);
+        eng.pending_release = snap.pending_release.map(f64::from_bits);
         let n = eng.flows.len();
         eng.flow_seen = vec![false; n];
         eng.flow_comp = vec![0; n];
@@ -1056,6 +1076,29 @@ mod tests {
         for i in 0..all.len() {
             assert_eq!(up.window(i).1.to_bits(), inc.window(i).1.to_bits());
         }
+    }
+
+    #[test]
+    fn peek_time_covers_releases_injected_since_the_last_step() {
+        let net = star_cluster(4, 1e9, 0.0);
+        let mut eng = FluidEngine::new(&net);
+        eng.inject(&[
+            flow(0, 1, 1_000, 3e-4, vec![]),
+            flow(1, 2, 1_000, 1e-4, vec![0]),
+            flow(2, 3, 1_000, 2e-4, vec![]),
+        ])
+        .unwrap();
+        // Only dependency-free flows are due at their own release.
+        assert_eq!(eng.peek_time(), Some(2e-4));
+        let json = serde_json::to_string(&eng.snapshot()).unwrap();
+        let snap: FluidEngineSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(
+            FluidEngine::restore(&net, &snap).unwrap().peek_time(),
+            Some(2e-4)
+        );
+        // The first step schedules the release events themselves.
+        assert_eq!(eng.step().unwrap(), Some(2e-4));
+        assert_eq!(eng.peek_time(), Some(3e-4));
     }
 
     #[test]

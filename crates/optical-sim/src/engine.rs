@@ -792,17 +792,24 @@ impl GrantEngine {
         self.peak_wavelength
     }
 
-    /// Lane demand of the first stuck waiter, if the engine went idle with
-    /// waiters that can never be served.
-    #[must_use]
-    pub fn stuck_lanes(&self) -> Option<usize> {
-        self.waiting.first().map(|&id| {
-            self.slots[id]
-                .as_ref()
-                .expect("waiting slot is live")
-                .transfer
-                .lanes
-        })
+    /// Check an idle engine for waiters that can never be served.
+    ///
+    /// # Errors
+    /// [`OpticalError::WavelengthsExhausted`] with the first stuck waiter's
+    /// lane demand.
+    pub fn check_stuck(&self) -> Result<()> {
+        match self.waiting.first() {
+            None => Ok(()),
+            Some(&id) => Err(OpticalError::WavelengthsExhausted {
+                available: self.wavelengths,
+                requested: self.slots[id]
+                    .as_ref()
+                    .expect("waiting slot is live")
+                    .transfer
+                    .lanes,
+                step: 0,
+            }),
+        }
     }
 
     /// Capture the full mutable state as a versioned snapshot.

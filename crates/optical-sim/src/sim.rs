@@ -511,16 +511,10 @@ impl RingSimulator {
         while eng.step()?.is_some() {}
 
         if faults.is_empty() {
-            if let Some(lanes) = eng.stuck_lanes() {
-                // Can only happen if a transfer's lane demand can never be
-                // met concurrently with an earlier waiter — surface it
-                // rather than silently dropping the transfer.
-                return Err(OpticalError::WavelengthsExhausted {
-                    available: self.config.wavelengths,
-                    requested: lanes,
-                    step: 0,
-                });
-            }
+            // Can only fail if a transfer's lane demand can never be met
+            // concurrently with an earlier waiter — surface it rather than
+            // silently dropping the transfer.
+            eng.check_stuck()?;
         }
         Ok(eng)
     }

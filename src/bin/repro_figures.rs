@@ -1,7 +1,7 @@
 //! Regenerate every figure and headline number of the Wrht paper.
 //!
 //! ```text
-//! repro-figures [command] [--small] [--threads=N] [--check=PATH]
+//! repro-figures [command] [--small] [--threads=N] [--mode=M] [--check=PATH] [--json]
 //!
 //! Commands:
 //!   fig2         Figure 2: E-Ring / RD / O-Ring / WRHT across models & scales
@@ -59,6 +59,7 @@
 //! overlaps them through the dependency-aware executor.
 //! JSON copies of every series are written to `results/`; campaign cells,
 //! combined JSON and CSV land in `results/campaign/`.
+//! An unknown `--flag` or a non-numeric `--threads` value exits 2.
 //! ```
 
 use std::fs;
@@ -551,22 +552,62 @@ fn parse_modes(value: Option<&str>) -> Option<Vec<ExecMode>> {
     }
 }
 
+/// The command-line flags (the first occurrence of a valued flag wins).
+#[derive(Debug, Default, PartialEq)]
+struct Flags<'a> {
+    small: bool,
+    threads: Option<usize>,
+    mode: Option<&'a str>,
+    check: Option<&'a str>,
+    json: bool,
+}
+
+/// Split the arguments into the command (the first non-flag word) and the
+/// flags. An unknown `--flag` or a `--threads=` value that is not a
+/// number is an error.
+fn parse_args(args: &[String]) -> Result<(Option<&str>, Flags<'_>), String> {
+    let mut cmd = None;
+    let mut flags = Flags::default();
+    for a in args {
+        if a == "--small" {
+            flags.small = true;
+        } else if a == "--json" {
+            flags.json = true;
+        } else if let Some(v) = a.strip_prefix("--threads=") {
+            let n = v
+                .parse()
+                .map_err(|_| format!("invalid --threads value '{v}'; expected a number"))?;
+            flags.threads.get_or_insert(n);
+        } else if let Some(v) = a.strip_prefix("--mode=") {
+            flags.mode.get_or_insert(v);
+        } else if let Some(v) = a.strip_prefix("--check=") {
+            flags.check.get_or_insert(v);
+        } else if a.starts_with("--") {
+            return Err(format!(
+                "unknown flag '{a}'; expected --small, --threads=N, --mode=M, --check=PATH or --json"
+            ));
+        } else {
+            cmd.get_or_insert(a.as_str());
+        }
+    }
+    Ok((cmd, flags))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let small = args.iter().any(|a| a == "--small");
-    let threads = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--threads="))
-        .and_then(|v| v.parse::<usize>().ok())
+    let (cmd, flags) = parse_args(&args).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
+    let small = flags.small;
+    let threads = flags
+        .threads
         .unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
         })
         .max(1);
-    let mode_arg = args.iter().find_map(|a| a.strip_prefix("--mode="));
-    let check = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--check="))
-        .map(Path::new);
+    let mode_arg = flags.mode;
+    let check = flags.check.map(Path::new);
     let Some(modes) = parse_modes(mode_arg) else {
         eprintln!(
             "unknown --mode '{}'; expected barrier, pipelined or both",
@@ -574,10 +615,7 @@ fn main() {
         );
         std::process::exit(2);
     };
-    let cmd = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map_or("all", String::as_str);
+    let cmd = cmd.unwrap_or("all");
     if mode_arg.is_some() && cmd != "train" {
         eprintln!(
             "warning: --mode only affects the `train` command; `{cmd}` ignores it \
@@ -585,8 +623,7 @@ fn main() {
         );
     }
     if cmd == "analyze" {
-        let json = args.iter().any(|a| a == "--json");
-        if !cmd_analyze(Path::new("."), json) {
+        if !cmd_analyze(Path::new("."), flags.json) {
             std::process::exit(1);
         }
         return;
@@ -629,6 +666,50 @@ mod tests {
             std::env::temp_dir().join(format!("repro-figures-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| (*a).to_string()).collect()
+    }
+
+    #[test]
+    fn known_flags_parse() {
+        let list = args(&[
+            "serve",
+            "--small",
+            "--threads=2",
+            "--mode=both",
+            "--check=base.json",
+            "--json",
+            "--threads=3",
+        ]);
+        let (cmd, flags) = parse_args(&list).unwrap();
+        assert_eq!(cmd, Some("serve"));
+        assert_eq!(
+            flags,
+            Flags {
+                small: true,
+                threads: Some(2),
+                mode: Some("both"),
+                check: Some("base.json"),
+                json: true,
+            }
+        );
+        assert_eq!(parse_args(&[]).unwrap(), (None, Flags::default()));
+    }
+
+    #[test]
+    fn bad_flags_are_rejected() {
+        for bad in [
+            &["steps", "--threads=abc"][..],
+            &["steps", "--threads="],
+            &["steps", "--threads=-1"],
+            &["steps", "--smal"],
+            &["--verbose", "steps"],
+            &["steps", "--small=1"],
+        ] {
+            assert!(parse_args(&args(bad)).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
