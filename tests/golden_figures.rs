@@ -175,3 +175,49 @@ fn headline_json_matches_golden() {
         .collect();
     assert_matches_golden("headline.json", &to_json(&headline(&all)));
 }
+
+#[test]
+fn rwa_fit_compare_json_matches_golden() {
+    // The `ablation-fit` table at reduced scale: the Wrht schedule run
+    // under First Fit and under Best Fit on the stepped RWA. Pins both
+    // heuristics' step times and wavelength footprints bit-exactly.
+    let cfg = golden_cfg();
+    let rows: Vec<_> = [dnn_models::googlenet(), dnn_models::alexnet()]
+        .iter()
+        .flat_map(|m| {
+            cfg.scales.iter().map(move |&n| {
+                (
+                    m.name.clone(),
+                    n,
+                    wrht_bench::ablations::rwa_strategy_compare(
+                        &golden_cfg(),
+                        n,
+                        m.gradient_bytes(),
+                    ),
+                )
+            })
+        })
+        .collect();
+    assert_matches_golden("ablation_fit.json", &to_json(&rows));
+}
+
+#[test]
+fn contention_json_matches_golden() {
+    // The `contention` table at 16 nodes on a 4-wavelength budget: every
+    // synthetic pattern through the event-driven FIFO loop, which places
+    // each waiter with `Occupancy::assign`. Pins makespans and peak
+    // concurrency bit-exactly.
+    use wrht_bench::contention::{run_contention, Pattern};
+    let mut narrow = golden_cfg();
+    narrow.wavelengths = 4;
+    let optical = narrow.optical(16);
+    let reports: Vec<_> = [
+        Pattern::Permutation,
+        Pattern::UniformRandom,
+        Pattern::Incast,
+    ]
+    .into_iter()
+    .map(|p| run_contention(&optical, p, 32, 16 << 20, 2023))
+    .collect();
+    assert_matches_golden("contention.json", &to_json(&reports));
+}
