@@ -7,7 +7,7 @@ use collectives::ring::ring_allreduce;
 use dnn_models::Model;
 use optical_sim::Strategy;
 use serde::{Deserialize, Serialize};
-use wrht_core::baselines::run_collective;
+use wrht_core::baselines::{lower_collective_to_optical, run_collective};
 use wrht_core::{plan_and_simulate, WrhtParams};
 
 /// One (model, node-count) grid cell.
@@ -59,10 +59,10 @@ pub fn fig2_row(cfg: &ExperimentConfig, n: usize, gradient_bytes: u64) -> Fig2Ro
     let mut electrical = cfg.substrate(SubstrateKind::Electrical, n, Strategy::FirstFit);
     let mut optical = cfg.substrate(SubstrateKind::Optical, n, Strategy::FirstFit);
 
-    // E-Ring: chunked ring all-reduce over the switched cluster.
-    let ring = ring_allreduce(n, elems);
-    let e_ring = run_collective(electrical.as_mut(), &ring, cfg.bytes_per_elem, 1)
-        .expect("E-Ring fluid run");
+    // E-Ring and O-Ring run the same chunked ring all-reduce, lowered once:
+    // over the switched cluster, then over the optical ring on 1 wavelength.
+    let ring = lower_collective_to_optical(&ring_allreduce(n, elems), cfg.bytes_per_elem, 1);
+    let e_ring = electrical.execute(&ring).expect("E-Ring fluid run");
 
     // RD: recursive doubling over the same cluster.
     let rd = run_collective(
@@ -73,9 +73,7 @@ pub fn fig2_row(cfg: &ExperimentConfig, n: usize, gradient_bytes: u64) -> Fig2Ro
     )
     .expect("RD fluid run");
 
-    // O-Ring: the same ring all-reduce over the optical ring, 1 wavelength.
-    let o_ring =
-        run_collective(optical.as_mut(), &ring, cfg.bytes_per_elem, 1).expect("O-Ring optical run");
+    let o_ring = optical.execute(&ring).expect("O-Ring optical run");
 
     // WRHT with optimizer-chosen group size.
     let wrht = plan_and_simulate(

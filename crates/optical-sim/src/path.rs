@@ -1,6 +1,6 @@
 //! Lightpaths: routed transfers with a concrete direction and segment list.
 
-use crate::topology::{Direction, NodeId, RingTopology};
+use crate::topology::{Direction, NodeId, RingArc, RingTopology};
 use serde::{Deserialize, Serialize};
 
 /// A routed point-to-point lightpath on the ring.
@@ -12,7 +12,8 @@ pub struct LightPath {
     pub dst: NodeId,
     /// Propagation direction.
     pub direction: Direction,
-    /// Segment indices traversed, in order.
+    /// Segment indices traversed, in order: the contiguous run of one
+    /// [`RingArc`], as [`LightPath::routed`] builds it.
     pub segments: Vec<usize>,
 }
 
@@ -41,6 +42,27 @@ impl LightPath {
         self.segments.len()
     }
 
+    /// The arc the path occupies (see [`RingArc`]).
+    #[must_use]
+    pub fn arc(&self) -> RingArc {
+        let first = match self.direction {
+            Direction::Clockwise => self.segments.first(),
+            Direction::CounterClockwise => self.segments.last(),
+        };
+        debug_assert!(
+            self.segments.windows(2).all(|w| match self.direction {
+                Direction::Clockwise => w[1] == w[0] + 1 || w[1] == 0,
+                Direction::CounterClockwise => w[1] + 1 == w[0] || w[0] == 0,
+            }),
+            "lightpath segments must form one arc"
+        );
+        RingArc {
+            direction: self.direction,
+            first: first.copied().unwrap_or(self.src.0),
+            hops: self.segments.len(),
+        }
+    }
+
     /// Two paths conflict iff they travel the same direction and share at
     /// least one segment. Opposite directions use physically distinct
     /// waveguides and never conflict.
@@ -64,6 +86,19 @@ mod tests {
         let p = LightPath::shortest(&t, NodeId(1), NodeId(9));
         assert_eq!(p.direction, Direction::CounterClockwise);
         assert_eq!(p.hops(), 2);
+    }
+
+    #[test]
+    fn arc_matches_the_topology_arc() {
+        let t = RingTopology::new(7);
+        for a in 0..7 {
+            for b in 0..7 {
+                for d in Direction::BOTH {
+                    let p = LightPath::routed(&t, NodeId(a), NodeId(b), d);
+                    assert_eq!(p.arc(), t.arc(NodeId(a), NodeId(b), d));
+                }
+            }
+        }
     }
 
     #[test]

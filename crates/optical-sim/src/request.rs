@@ -2,7 +2,7 @@
 
 use crate::error::{OpticalError, Result};
 use crate::path::LightPath;
-use crate::topology::{Direction, NodeId, RingTopology};
+use crate::topology::{Direction, NodeId, RingArc, RingTopology};
 use serde::{Deserialize, Serialize};
 
 /// How a transfer should be routed around the ring.
@@ -72,13 +72,15 @@ impl Transfer {
         self
     }
 
-    /// Validate against a topology and resolve to a routed lightpath.
+    /// Validate against a topology and route to the arc the transfer
+    /// occupies, allocating nothing.
     ///
-    /// Zero-byte transfers are legal: setting up the lightpath still costs
-    /// the per-message overhead and propagation, it just serializes no
-    /// payload (mirrored by the electrical runner, which skips empty flows
-    /// but keeps the step's launch overhead).
-    pub fn resolve(&self, topo: &RingTopology) -> Result<LightPath> {
+    /// Checks, in order: both endpoints on the ring, no self-transfer, at
+    /// least one lane. Zero-byte transfers are legal: setting up the
+    /// lightpath still costs the per-message overhead and propagation, it
+    /// just serializes no payload (mirrored by the electrical runner, which
+    /// skips empty flows but keeps the step's launch overhead).
+    pub fn route(&self, topo: &RingTopology) -> Result<RingArc> {
         topo.check_node(self.src)?;
         topo.check_node(self.dst)?;
         if self.src == self.dst {
@@ -87,10 +89,18 @@ impl Transfer {
         if self.lanes == 0 {
             return Err(OpticalError::ZeroLanes);
         }
-        Ok(match self.direction {
-            DirectionChoice::Shortest => LightPath::shortest(topo, self.src, self.dst),
-            DirectionChoice::Forced(d) => LightPath::routed(topo, self.src, self.dst, d),
-        })
+        let direction = match self.direction {
+            DirectionChoice::Shortest => topo.shortest_direction(self.src, self.dst),
+            DirectionChoice::Forced(d) => d,
+        };
+        Ok(topo.arc(self.src, self.dst, direction))
+    }
+
+    /// Validate as [`Transfer::route`] does and resolve to a routed
+    /// lightpath with its segment list.
+    pub fn resolve(&self, topo: &RingTopology) -> Result<LightPath> {
+        let arc = self.route(topo)?;
+        Ok(LightPath::routed(topo, self.src, self.dst, arc.direction))
     }
 }
 
@@ -141,6 +151,35 @@ mod tests {
         assert!(Transfer::shortest(NodeId(0), NodeId(1), 0)
             .resolve(&t)
             .is_ok());
+    }
+
+    #[test]
+    fn route_is_the_resolved_arc() {
+        let t = RingTopology::new(8);
+        for tr in [
+            Transfer::shortest(NodeId(0), NodeId(6), 10),
+            Transfer::shortest(NodeId(5), NodeId(1), 10),
+            Transfer::directed(NodeId(0), NodeId(6), 10, Direction::Clockwise),
+            Transfer::directed(NodeId(3), NodeId(4), 10, Direction::CounterClockwise),
+        ] {
+            assert_eq!(tr.route(&t).unwrap(), tr.resolve(&t).unwrap().arc());
+        }
+        // Errors come in resolve's order: range, then self, then lanes.
+        assert_eq!(
+            Transfer::shortest(NodeId(9), NodeId(9), 1)
+                .with_lanes(0)
+                .route(&t),
+            Err(OpticalError::NodeOutOfRange {
+                node: NodeId(9),
+                n: 8
+            })
+        );
+        assert_eq!(
+            Transfer::shortest(NodeId(2), NodeId(2), 1)
+                .with_lanes(0)
+                .route(&t),
+            Err(OpticalError::SelfTransfer(NodeId(2)))
+        );
     }
 
     #[test]

@@ -11,11 +11,19 @@
 //!   traffic elsewhere on the ring (densest packing first), falling back to
 //!   index order on ties. This keeps untouched wavelengths free for future
 //!   wide stripes, which is the behaviour Best-Fit RWA aims for.
-
+//!
+//! Both heuristics run on one core, [`Occupancy::assign_arc`]. A ring route
+//! is always a contiguous [`RingArc`], so the core ORs the arc's segment
+//! words into one busy mask, 64 wavelengths per word. First Fit takes the
+//! lowest free bits; Best Fit walks the free bits in its load order. Failed
+//! lanes are skipped as they come up, and the chosen lanes are occupied a
+//! word at a time. The core allocates nothing: the mask lives in a buffer
+//! the caller owns and the lanes go to a callback.
+//! [`Occupancy::assign`] wraps it for callers holding a [`LightPath`].
 use crate::error::{OpticalError, Result};
 use crate::path::LightPath;
-use crate::topology::Direction;
-use crate::wavelength::{Wavelength, WavelengthSet};
+use crate::topology::{Direction, RingArc};
+use crate::wavelength::{lane_mask, word_lanes, Wavelength, WavelengthSet};
 use serde::{Deserialize, Serialize};
 
 /// Wavelength assignment heuristic.
@@ -155,50 +163,164 @@ impl Occupancy {
             .count()
     }
 
+    /// Release every lane on every segment, as a fresh
+    /// [`Occupancy::new`] would hold them; failed lanes stay failed.
+    pub fn clear(&mut self) {
+        for (used, load) in self.used.iter_mut().zip(&mut self.load) {
+            // A busy segment always counts in its lane's load, so a
+            // waveguide with no load has nothing to clear.
+            if load.iter().any(|&l| l > 0) {
+                used.iter_mut().for_each(WavelengthSet::clear);
+                load.fill(0);
+            }
+        }
+    }
+
     /// Assign `lanes` wavelengths to `path` with the given heuristic.
     ///
     /// On success the lanes are recorded as busy and returned in assignment
     /// order. Fails with [`OpticalError::WavelengthsExhausted`] when fewer
-    /// than `lanes` channels are free along the whole path.
+    /// than `lanes` channels are free along the whole path. A thin wrapper
+    /// over [`Occupancy::assign_arc`].
     pub fn assign(
         &mut self,
         path: &LightPath,
         lanes: usize,
         strategy: Strategy,
     ) -> Result<Vec<Wavelength>> {
+        let mut picked = Vec::with_capacity(lanes.min(self.wavelengths));
+        self.assign_arc(path.arc(), lanes, strategy, &mut Vec::new(), |l| {
+            picked.push(l);
+        })?;
+        Ok(picked)
+    }
+
+    /// Assign `lanes` wavelengths along `arc`: the one assignment core.
+    ///
+    /// ORs the arc's segment words into a busy mask held in `mask` (a
+    /// scratch buffer the caller may reuse across calls), then picks lanes
+    /// from its free bits. First Fit takes the lowest; Best Fit takes the
+    /// busiest on the arc's waveguide, lowest index on ties. Failed lanes
+    /// are never picked. Nothing is recorded unless every lane fits: on
+    /// success the lanes are occupied and passed to `lane` in assignment
+    /// order; otherwise the call fails with
+    /// [`OpticalError::ZeroLanes`] or [`OpticalError::WavelengthsExhausted`]
+    /// and the occupancy is unchanged.
+    pub fn assign_arc(
+        &mut self,
+        arc: RingArc,
+        lanes: usize,
+        strategy: Strategy,
+        mask: &mut Vec<u64>,
+        mut lane: impl FnMut(Wavelength),
+    ) -> Result<()> {
         if lanes == 0 {
             return Err(OpticalError::ZeroLanes);
         }
-        let order: Vec<Wavelength> = match strategy {
-            Strategy::FirstFit => (0..self.wavelengths).map(Wavelength).collect(),
-            Strategy::BestFit => {
-                let d = dir_index(path.direction);
-                let mut idx: Vec<usize> = (0..self.wavelengths).collect();
-                // Busiest-elsewhere first; stable tie-break on index.
-                idx.sort_by(|&a, &b| self.load[d][b].cmp(&self.load[d][a]).then(a.cmp(&b)));
-                idx.into_iter().map(Wavelength).collect()
-            }
-        };
-        let mut picked = Vec::with_capacity(lanes);
-        for lambda in order {
-            if picked.len() == lanes {
-                break;
-            }
-            if self.is_free(path, lambda) {
-                picked.push(lambda);
+        let d = dir_index(arc.direction);
+        let n = self.used[d].len();
+        mask.clear();
+        mask.resize(self.wavelengths.div_ceil(64), 0);
+        for s in arc.segments(n) {
+            for (busy, &word) in mask.iter_mut().zip(self.used[d][s].words()) {
+                *busy |= word;
             }
         }
-        if picked.len() < lanes {
+        for (k, word) in mask.iter_mut().enumerate() {
+            *word = !*word & lane_mask(self.wavelengths, k);
+        }
+        // `mask` now holds the free lanes; narrow it to the picks.
+        let mut need = lanes;
+        match strategy {
+            Strategy::FirstFit => {
+                for (k, word) in mask.iter_mut().enumerate() {
+                    let free = std::mem::take(word);
+                    for l in word_lanes(k, free) {
+                        if need == 0 {
+                            break;
+                        }
+                        if !self.down[l.0] {
+                            *word |= 1 << (l.0 % 64);
+                            need -= 1;
+                        }
+                    }
+                }
+            }
+            Strategy::BestFit => {
+                for (k, word) in mask.iter_mut().enumerate() {
+                    for l in word_lanes(k, *word) {
+                        if self.down[l.0] {
+                            *word &= !(1 << (l.0 % 64));
+                        }
+                    }
+                    need = need.saturating_sub(word.count_ones() as usize);
+                }
+            }
+        }
+        if need > 0 {
             return Err(OpticalError::WavelengthsExhausted {
                 available: self.wavelengths,
                 requested: lanes,
                 step: 0,
             });
         }
-        for &lambda in &picked {
-            self.occupy(path, lambda);
+        match strategy {
+            Strategy::FirstFit => {
+                for (k, &picked) in mask.iter().enumerate() {
+                    self.occupy_word(arc, k, picked, &mut lane);
+                }
+            }
+            Strategy::BestFit => {
+                for _ in 0..lanes {
+                    let l = self.busiest_free(d, mask);
+                    mask[l.0 / 64] &= !(1 << (l.0 % 64));
+                    self.occupy_word(arc, l.0 / 64, 1 << (l.0 % 64), &mut lane);
+                }
+            }
         }
-        Ok(picked)
+        Ok(())
+    }
+
+    /// The free lane in `mask` with the highest load on waveguide `d`,
+    /// lowest index on ties (Best Fit's order). `mask` must be non-empty.
+    fn busiest_free(&self, d: usize, mask: &[u64]) -> Wavelength {
+        let mut best: Option<Wavelength> = None;
+        for (k, &word) in mask.iter().enumerate() {
+            for l in word_lanes(k, word) {
+                if best.is_none_or(|b| self.load[d][l.0] > self.load[d][b.0]) {
+                    best = Some(l);
+                }
+            }
+        }
+        best.expect("Best Fit picks only while free lanes remain")
+    }
+
+    /// Occupy the lanes set in word `k` of `picked` along `arc`, reporting
+    /// each to `lane` in increasing order.
+    fn occupy_word(
+        &mut self,
+        arc: RingArc,
+        k: usize,
+        picked: u64,
+        lane: &mut impl FnMut(Wavelength),
+    ) {
+        if picked == 0 {
+            return;
+        }
+        let d = dir_index(arc.direction);
+        let n = self.used[d].len();
+        for s in arc.segments(n) {
+            debug_assert_eq!(
+                self.used[d][s].words()[k] & picked,
+                0,
+                "double-occupying lanes on segment {s}"
+            );
+            self.used[d][s].insert_word(k, picked);
+        }
+        for l in word_lanes(k, picked) {
+            self.load[d][l.0] += arc.hops;
+            lane(l);
+        }
     }
 }
 

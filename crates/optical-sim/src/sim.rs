@@ -12,7 +12,7 @@ use crate::path::LightPath;
 use crate::request::Transfer;
 use crate::rwa::{Occupancy, Strategy};
 use crate::stats::{RunStats, StepStats};
-use crate::topology::RingTopology;
+use crate::topology::{RingArc, RingTopology};
 use crate::wavelength::Wavelength;
 use serde::{Deserialize, Serialize};
 use wrht_kernel::{EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
@@ -184,6 +184,22 @@ impl FaultDagReport {
     }
 }
 
+/// One transfer as the stepped loop placed it.
+pub(crate) struct Placed<'a> {
+    /// Step index in the schedule.
+    pub step: usize,
+    /// Start of the step, seconds (steps are barriers).
+    pub start_s: f64,
+    /// The transfer as submitted.
+    pub transfer: &'a Transfer,
+    /// The arc it was routed to.
+    pub arc: RingArc,
+    /// Its transmission time, seconds.
+    pub duration_s: f64,
+    /// Its wavelengths, in assignment order.
+    pub lanes: &'a [Wavelength],
+}
+
 /// Simulator for one optical ring deployment.
 #[derive(Debug, Clone)]
 pub struct RingSimulator {
@@ -221,40 +237,75 @@ impl RingSimulator {
     /// Execute a stepped schedule with the given RWA strategy.
     ///
     /// Fails if any step cannot be wavelength-assigned within the configured
-    /// channel count — Wrht plans are constructed to always fit.
+    /// channel count — Wrht plans are constructed to always fit. Errors come
+    /// in the order of [`Transfer::resolve`] (node range, self-transfer,
+    /// zero lanes), then [`OpticalError::WavelengthsExhausted`] carrying the
+    /// failing step's index.
+    ///
+    /// The loop allocates nothing per step or per transfer: one
+    /// [`Occupancy`] serves the whole run and is cleared at each step, each
+    /// transfer is routed to its [`crate::topology::RingArc`] and placed by
+    /// the arc core [`Occupancy::assign_arc`], whose busy mask and lane
+    /// list are buffers reused across the run.
     pub fn run_stepped(
         &mut self,
         schedule: &StepSchedule,
         strategy: Strategy,
     ) -> Result<StepReport> {
+        self.run_stepped_with(schedule, strategy, |_| {})
+    }
+
+    /// The stepped loop behind [`RingSimulator::run_stepped`], showing each
+    /// placed transfer to `observe` (the tracer records them).
+    pub(crate) fn run_stepped_with(
+        &self,
+        schedule: &StepSchedule,
+        strategy: Strategy,
+        mut observe: impl FnMut(Placed<'_>),
+    ) -> Result<StepReport> {
         let timing = self.config.timing();
+        let mut occ = Occupancy::new(self.topo.nodes(), self.config.wavelengths);
+        let mut mask = Vec::new();
+        let mut lanes = Vec::new();
         let mut stats = RunStats::default();
+        let mut clock = 0.0f64;
         for (index, step) in schedule.steps.iter().enumerate() {
-            let mut occ = Occupancy::new(self.topo.nodes(), self.config.wavelengths);
+            occ.clear();
             let mut duration = 0.0f64;
             let mut bytes = 0u64;
             let mut total_lanes = 0usize;
             let mut max_hops = 0usize;
             for tr in step {
-                let path = tr.resolve(&self.topo)?;
-                occ.assign(&path, tr.lanes, strategy).map_err(|e| match e {
-                    OpticalError::WavelengthsExhausted {
-                        available,
-                        requested,
-                        ..
-                    } => OpticalError::WavelengthsExhausted {
-                        available,
-                        requested,
-                        step: index,
-                    },
-                    other => other,
-                })?;
-                let t = timing.transfer_time(tr.bytes, tr.lanes, path.hops());
+                let arc = tr.route(&self.topo)?;
+                lanes.clear();
+                occ.assign_arc(arc, tr.lanes, strategy, &mut mask, |l| lanes.push(l))
+                    .map_err(|e| match e {
+                        OpticalError::WavelengthsExhausted {
+                            available,
+                            requested,
+                            ..
+                        } => OpticalError::WavelengthsExhausted {
+                            available,
+                            requested,
+                            step: index,
+                        },
+                        other => other,
+                    })?;
+                let t = timing.transfer_time(tr.bytes, tr.lanes, arc.hops);
+                observe(Placed {
+                    step: index,
+                    start_s: clock,
+                    transfer: tr,
+                    arc,
+                    duration_s: t,
+                    lanes: &lanes,
+                });
                 duration = duration.max(t);
                 bytes += tr.bytes;
                 total_lanes += tr.lanes;
-                max_hops = max_hops.max(path.hops());
+                max_hops = max_hops.max(arc.hops);
             }
+            clock += duration;
             stats.steps.push(StepStats {
                 index,
                 transfers: step.len(),

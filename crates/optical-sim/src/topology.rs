@@ -50,6 +50,42 @@ impl Direction {
     pub const BOTH: [Direction; 2] = [Direction::Clockwise, Direction::CounterClockwise];
 }
 
+/// A route's footprint on the ring: `hops` consecutive segments starting at
+/// segment `first` and counting up (wrapping at `n`), on the waveguide of
+/// `direction`.
+///
+/// Every ring route is such an arc. A clockwise route from `src` covers
+/// segments `src, src + 1, …`; a counter-clockwise one covers the same kind
+/// of run ending just below `src`, so it starts at `dst`. The wavelength
+/// core works on arcs rather than segment lists, so routing a transfer
+/// allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct RingArc {
+    /// Waveguide the route travels on.
+    pub direction: Direction,
+    /// Lowest segment of the arc, counting clockwise.
+    pub first: usize,
+    /// Number of segments (the route's hop count).
+    pub hops: usize,
+}
+
+impl RingArc {
+    /// The arc's segment indices on a ring of `n` segments, in increasing
+    /// clockwise order from `first`.
+    pub fn segments(self, n: usize) -> impl Iterator<Item = usize> {
+        debug_assert!(self.first < n.max(1) && self.hops <= n);
+        let mut next = self.first;
+        (0..self.hops).map(move |_| {
+            let s = next;
+            next += 1;
+            if next == n {
+                next = 0;
+            }
+            s
+        })
+    }
+}
+
 /// A ring of `n` nodes with directed segments in both directions.
 ///
 /// Segment `s` in the clockwise cycle is the waveguide from node `s` to node
@@ -102,9 +138,15 @@ impl RingTopology {
     #[must_use]
     pub fn hops(&self, src: NodeId, dst: NodeId, dir: Direction) -> usize {
         debug_assert!(src.0 < self.n && dst.0 < self.n);
-        match dir {
-            Direction::Clockwise => (dst.0 + self.n - src.0) % self.n,
-            Direction::CounterClockwise => (src.0 + self.n - dst.0) % self.n,
+        let (from, to) = match dir {
+            Direction::Clockwise => (src.0, dst.0),
+            Direction::CounterClockwise => (dst.0, src.0),
+        };
+        // Both ids are below n, so one conditional add replaces `% n`.
+        if to >= from {
+            to - from
+        } else {
+            to + self.n - from
         }
     }
 
@@ -159,6 +201,21 @@ impl RingTopology {
             }
         }
         segs
+    }
+
+    /// The arc a route from `src` to `dst` in `dir` occupies: the same
+    /// segments as [`RingTopology::path_segments`], without the vector.
+    #[must_use]
+    pub fn arc(&self, src: NodeId, dst: NodeId, dir: Direction) -> RingArc {
+        let first = match dir {
+            Direction::Clockwise => src.0,
+            Direction::CounterClockwise => dst.0,
+        };
+        RingArc {
+            direction: dir,
+            first,
+            hops: self.hops(src, dst, dir),
+        }
     }
 
     /// Iterate over the nodes strictly between `src` and `dst` in `dir`.
@@ -263,6 +320,22 @@ mod tests {
                 for d in Direction::BOTH {
                     let hops = t.hops(NodeId(a), NodeId(b), d);
                     assert_eq!(t.path_segments(NodeId(a), NodeId(b), d).len(), hops);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn arcs_cover_the_path_segments() {
+        let t = RingTopology::new(9);
+        for a in 0..9 {
+            for b in 0..9 {
+                for d in Direction::BOTH {
+                    let mut segs = t.path_segments(NodeId(a), NodeId(b), d);
+                    segs.sort_unstable();
+                    let mut arc: Vec<usize> = t.arc(NodeId(a), NodeId(b), d).segments(9).collect();
+                    arc.sort_unstable();
+                    assert_eq!(arc, segs, "{a} -> {b} {d:?}");
                 }
             }
         }

@@ -3,10 +3,9 @@
 
 use crate::error::Result;
 use crate::request::Transfer;
-use crate::rwa::{Occupancy, Strategy};
+use crate::rwa::Strategy;
 use crate::sim::{RingSimulator, StepSchedule};
 use crate::topology::Direction;
-use crate::wavelength::Wavelength;
 use serde::{Deserialize, Serialize};
 
 /// One transfer's execution record.
@@ -75,42 +74,29 @@ impl RunTrace {
 
 /// Execute a stepped schedule while recording a full per-transfer trace.
 ///
-/// Semantics are identical to [`RingSimulator::run_stepped`]; this exists
-/// as a separate entry point so the hot path stays allocation-light.
+/// Drives the same step loop as [`RingSimulator::run_stepped`], so results
+/// and errors are identical; it only records each placed transfer. Returns
+/// the schedule's total time and the trace.
 pub fn run_stepped_traced(
     sim: &mut RingSimulator,
     schedule: &StepSchedule,
     strategy: Strategy,
 ) -> Result<(f64, RunTrace)> {
-    let topo = sim.topology().clone();
-    let config = sim.config().clone();
-    let timing = config.timing();
     let mut trace = RunTrace::default();
-    let mut clock = 0.0f64;
-
-    for (index, step) in schedule.steps().iter().enumerate() {
-        let mut occ = Occupancy::new(topo.nodes(), config.wavelengths);
-        let mut duration = 0.0f64;
-        for tr in step {
-            let path = tr.resolve(&topo)?;
-            let lambdas: Vec<Wavelength> = occ.assign(&path, tr.lanes, strategy)?;
-            let t = timing.transfer_time(tr.bytes, tr.lanes, path.hops());
-            trace.entries.push(TraceEntry {
-                step: index,
-                src: tr.src.0,
-                dst: tr.dst.0,
-                bytes: tr.bytes,
-                direction: path.direction,
-                hops: path.hops(),
-                lambdas: lambdas.iter().map(|l| l.0).collect(),
-                start_s: clock,
-                finish_s: clock + t,
-            });
-            duration = duration.max(t);
-        }
-        clock += duration;
-    }
-    Ok((clock, trace))
+    let report = sim.run_stepped_with(schedule, strategy, |p| {
+        trace.entries.push(TraceEntry {
+            step: p.step,
+            src: p.transfer.src.0,
+            dst: p.transfer.dst.0,
+            bytes: p.transfer.bytes,
+            direction: p.arc.direction,
+            hops: p.arc.hops,
+            lambdas: p.lanes.iter().map(|l| l.0).collect(),
+            start_s: p.start_s,
+            finish_s: p.start_s + p.duration_s,
+        });
+    })?;
+    Ok((report.total_time_s, trace))
 }
 
 /// Convenience: trace a single-step batch of transfers.

@@ -1,8 +1,11 @@
 //! Wavelength identifiers and dense wavelength sets.
 //!
 //! TeraRack-class interconnects carry up to 64 DWDM channels per waveguide;
-//! we allow an arbitrary count and store memberships in a compact bitset so
-//! RWA inner loops stay branch-light and allocation-free.
+//! we allow an arbitrary count and store memberships in a compact bitset of
+//! 64-lane words. The RWA core (`rwa.rs`) works on those words directly: it
+//! ORs a route's segment words into one busy mask and takes free lanes with
+//! bit tricks, so placing a transfer costs a few word operations per segment
+//! and allocates nothing.
 
 use serde::{Deserialize, Serialize};
 
@@ -137,6 +140,39 @@ impl WavelengthSet {
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
+
+    /// The backing words: word `k` holds wavelengths `64k..64k + 64`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Add every wavelength set in `mask` to word `k`.
+    pub(crate) fn insert_word(&mut self, k: usize, mask: u64) {
+        debug_assert_eq!(mask & !lane_mask(self.capacity, k), 0);
+        self.words[k] |= mask;
+    }
+}
+
+/// The bits of word `k` that hold real wavelengths of a `capacity`-wide set:
+/// all 64 except in the last, partial word.
+pub(crate) fn lane_mask(capacity: usize, k: usize) -> u64 {
+    let below = capacity.saturating_sub(k * 64);
+    if below >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << below) - 1
+    }
+}
+
+/// The wavelengths set in word `k` of a bitset, in increasing order.
+pub(crate) fn word_lanes(k: usize, mut word: u64) -> impl Iterator<Item = Wavelength> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            Wavelength(k * 64 + bit)
+        })
+    })
 }
 
 impl FromIterator<Wavelength> for WavelengthSet {
@@ -219,6 +255,23 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(s.iter().map(|w| w.0).collect::<Vec<_>>(), vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn lane_masks_cover_exactly_the_capacity() {
+        assert_eq!(lane_mask(0, 0), 0);
+        assert_eq!(lane_mask(3, 0), 0b111);
+        assert_eq!(lane_mask(64, 0), u64::MAX);
+        assert_eq!(lane_mask(64, 1), 0);
+        assert_eq!(lane_mask(130, 1), u64::MAX);
+        assert_eq!(lane_mask(130, 2), 0b11);
+    }
+
+    #[test]
+    fn word_lanes_iterate_in_order() {
+        let lanes: Vec<_> = word_lanes(2, (1 << 63) | 0b101).map(|w| w.0).collect();
+        assert_eq!(lanes, vec![128, 130, 191]);
+        assert_eq!(word_lanes(0, 0).count(), 0);
     }
 
     #[test]

@@ -3,9 +3,136 @@
 use optical_sim::conflict::{congestion_lower_bound, greedy_wavelength_bound, validate_assignment};
 use optical_sim::path::LightPath;
 use optical_sim::rwa::{Occupancy, Strategy as Rwa};
+use optical_sim::stats::{RunStats, StepStats};
 use optical_sim::topology::{Direction, NodeId, RingTopology};
-use optical_sim::{OpticalConfig, RingSimulator, StepSchedule, Transfer};
+use optical_sim::trace::run_stepped_traced;
+use optical_sim::wavelength::Wavelength;
+use optical_sim::{
+    DirectionChoice, OpticalConfig, OpticalError, RingSimulator, StepReport, StepSchedule, Transfer,
+};
 use proptest::prelude::*;
+
+/// The naive RWA the word-mask core replaces: build the scan order (index
+/// order, or Best Fit's busiest-first order over `load`), test each λ on
+/// every segment with [`Occupancy::is_free`], occupy the first `lanes`
+/// free ones one λ at a time. `load[dir][λ]` mirrors the occupancy's own
+/// per-waveguide load; the caller keeps it in step across releases.
+fn naive_assign(
+    occ: &mut Occupancy,
+    load: &mut [Vec<usize>; 2],
+    path: &LightPath,
+    lanes: usize,
+    strategy: Rwa,
+) -> Result<Vec<Wavelength>, OpticalError> {
+    if lanes == 0 {
+        return Err(OpticalError::ZeroLanes);
+    }
+    let w = occ.wavelengths();
+    let d = usize::from(path.direction == Direction::CounterClockwise);
+    let mut order: Vec<usize> = (0..w).collect();
+    if strategy == Rwa::BestFit {
+        order.sort_by(|&a, &b| load[d][b].cmp(&load[d][a]).then(a.cmp(&b)));
+    }
+    let picked: Vec<Wavelength> = order
+        .into_iter()
+        .map(Wavelength)
+        .filter(|&l| occ.is_free(path, l))
+        .take(lanes)
+        .collect();
+    if picked.len() < lanes {
+        return Err(OpticalError::WavelengthsExhausted {
+            available: w,
+            requested: lanes,
+            step: 0,
+        });
+    }
+    for &l in &picked {
+        occ.occupy(path, l);
+        load[d][l.0] += path.hops();
+    }
+    Ok(picked)
+}
+
+/// The old stepped loop, as an oracle: a fresh occupancy per step,
+/// [`Transfer::resolve`] per transfer, [`naive_assign`] for the lanes.
+/// Returns the report and every transfer's lanes.
+fn oracle_stepped(
+    cfg: &OpticalConfig,
+    schedule: &StepSchedule,
+    strategy: Rwa,
+) -> Result<(StepReport, Vec<Vec<usize>>), OpticalError> {
+    let topo = RingTopology::new(cfg.nodes);
+    let timing = cfg.timing();
+    let mut stats = RunStats::default();
+    let mut all_lanes = Vec::new();
+    for (index, step) in schedule.steps().iter().enumerate() {
+        let mut occ = Occupancy::new(cfg.nodes, cfg.wavelengths);
+        let mut load = [vec![0; cfg.wavelengths], vec![0; cfg.wavelengths]];
+        let mut duration = 0.0f64;
+        let (mut bytes, mut total_lanes, mut max_hops) = (0u64, 0usize, 0usize);
+        for tr in step {
+            let path = tr.resolve(&topo)?;
+            let lanes = naive_assign(&mut occ, &mut load, &path, tr.lanes, strategy).map_err(
+                |e| match e {
+                    OpticalError::WavelengthsExhausted {
+                        available,
+                        requested,
+                        ..
+                    } => OpticalError::WavelengthsExhausted {
+                        available,
+                        requested,
+                        step: index,
+                    },
+                    other => other,
+                },
+            )?;
+            all_lanes.push(lanes.iter().map(|l| l.0).collect());
+            duration = duration.max(timing.transfer_time(tr.bytes, tr.lanes, path.hops()));
+            bytes += tr.bytes;
+            total_lanes += tr.lanes;
+            max_hops = max_hops.max(path.hops());
+        }
+        stats.steps.push(StepStats {
+            index,
+            transfers: step.len(),
+            duration_s: duration,
+            bytes,
+            wavelengths_used: occ.distinct_wavelengths_used(),
+            peak_wavelength: occ.peak_wavelengths_used(),
+            total_lanes,
+            max_hops,
+        });
+    }
+    Ok((
+        StepReport {
+            total_time_s: stats.total_time_s(),
+            stats,
+        },
+        all_lanes,
+    ))
+}
+
+/// A transfer drawn from raw numbers: endpoint 63 lands off the ring, a
+/// lane draw of 0 asks for zero lanes (1 in 20), and the direction is
+/// shortest or forced either way.
+fn raw_transfer(
+    n: usize,
+    (a, b, dir, lanes, bytes): (usize, usize, usize, usize, u64),
+) -> Transfer {
+    let node = |x: usize| NodeId(if x == 63 { n + x % 3 } else { x % n });
+    Transfer {
+        src: node(a),
+        dst: node(b),
+        bytes,
+        direction: match dir {
+            0 => DirectionChoice::Shortest,
+            1 => DirectionChoice::Forced(Direction::Clockwise),
+            _ => DirectionChoice::Forced(Direction::CounterClockwise),
+        },
+        lanes: if lanes == 0 { 0 } else { 1 + lanes % 4 },
+        tag: 0,
+    }
+}
 
 fn arb_direction() -> impl Strategy<Value = Direction> {
     prop_oneof![
@@ -158,5 +285,107 @@ proptest! {
         let r = sim.run_event_driven(&released).unwrap();
         prop_assert!(r.makespan_s >= longest - 1e-12);
         prop_assert!(r.makespan_s <= serial + 1e-12);
+    }
+
+    /// `run_stepped` (one occupancy per run, arc routing, word-mask core)
+    /// is bit-for-bit the old loop: same report, same lanes per transfer
+    /// (through the tracer, which drives the same loop), and the same
+    /// error with the same step index.
+    #[test]
+    fn run_stepped_matches_the_naive_oracle(
+        n in 2usize..24,
+        w in 1usize..131,
+        best_fit in proptest::bool::ANY,
+        steps in proptest::collection::vec(
+            proptest::collection::vec(
+                (0usize..64, 0usize..64, 0usize..3, 0usize..20, 0u64..2_000_000),
+                0..12,
+            ),
+            0..5,
+        ),
+    ) {
+        let strategy = if best_fit { Rwa::BestFit } else { Rwa::FirstFit };
+        let cfg = OpticalConfig::new(n, w);
+        let schedule = StepSchedule::from_steps(
+            steps
+                .into_iter()
+                .map(|step| step.into_iter().map(|raw| raw_transfer(n, raw)).collect())
+                .collect(),
+        );
+        let want = oracle_stepped(&cfg, &schedule, strategy);
+        let mut sim = RingSimulator::new(cfg);
+        let got = sim.run_stepped(&schedule, strategy);
+        let traced = run_stepped_traced(&mut sim, &schedule, strategy);
+        match (want, got, traced) {
+            (Ok((want, lanes)), Ok(got), Ok((total, trace))) => {
+                prop_assert_eq!(format!("{want:?}"), format!("{got:?}"));
+                prop_assert_eq!(total.to_bits(), got.total_time_s.to_bits());
+                let traced_lanes: Vec<Vec<usize>> =
+                    trace.entries.into_iter().map(|e| e.lambdas).collect();
+                prop_assert_eq!(lanes, traced_lanes);
+            }
+            (Err(want), Err(got), Err(traced)) => {
+                prop_assert_eq!(&want, &got);
+                prop_assert_eq!(&want, &traced);
+            }
+            (want, got, traced) => prop_assert!(
+                false,
+                "outcomes differ: oracle {want:?}, run_stepped {got:?}, traced {traced:?}"
+            ),
+        }
+    }
+
+    /// `Occupancy::assign` agrees with the naive scan through any mix of
+    /// assignments, releases and lane failures/repairs: same lanes or same
+    /// error, and the same occupancy afterwards.
+    #[test]
+    fn assign_matches_the_naive_scan(
+        n in 2usize..24,
+        w in 1usize..131,
+        best_fit in proptest::bool::ANY,
+        ops in proptest::collection::vec(
+            (0usize..10, 0usize..24, 0usize..24, arb_direction(), 0usize..5, 0usize..256),
+            1..40,
+        ),
+    ) {
+        let strategy = if best_fit { Rwa::BestFit } else { Rwa::FirstFit };
+        let t = RingTopology::new(n);
+        let mut fast = Occupancy::new(n, w);
+        let mut slow = Occupancy::new(n, w);
+        let mut load = [vec![0; w], vec![0; w]];
+        let mut held: Vec<(LightPath, Vec<Wavelength>)> = Vec::new();
+        for (kind, a, b, dir, lanes, pick) in ops {
+            match kind {
+                0 => {
+                    fast.set_lane_down(Wavelength(pick % w));
+                    slow.set_lane_down(Wavelength(pick % w));
+                }
+                1 => {
+                    fast.set_lane_up(Wavelength(pick % w));
+                    slow.set_lane_up(Wavelength(pick % w));
+                }
+                2 if !held.is_empty() => {
+                    let (path, lambdas) = held.swap_remove(pick % held.len());
+                    let d = usize::from(path.direction == Direction::CounterClockwise);
+                    for &l in &lambdas {
+                        fast.release(&path, l);
+                        slow.release(&path, l);
+                        load[d][l.0] -= path.hops();
+                    }
+                }
+                _ => {
+                    let path = LightPath::routed(&t, NodeId(a % n), NodeId(b % n), dir);
+                    let got = fast.assign(&path, lanes, strategy);
+                    let want = naive_assign(&mut slow, &mut load, &path, lanes, strategy);
+                    prop_assert_eq!(&got, &want);
+                    if let Ok(lambdas) = got {
+                        held.push((path, lambdas));
+                    }
+                }
+            }
+            prop_assert_eq!(fast.peak_wavelengths_used(), slow.peak_wavelengths_used());
+            prop_assert_eq!(fast.distinct_wavelengths_used(), slow.distinct_wavelengths_used());
+            prop_assert!(fast == slow, "occupancies diverged");
+        }
     }
 }
