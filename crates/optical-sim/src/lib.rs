@@ -72,7 +72,7 @@ pub mod prelude {
         StepReport, StepSchedule,
     };
     pub use crate::timing::TimingModel;
-    pub use crate::topology::{Direction, NodeId, RingArc, RingTopology};
+    pub use crate::topology::{Direction, NodeId, RingTopology};
     pub use crate::trace::{run_stepped_traced, RunTrace, TraceEntry};
     pub use crate::wavelength::{Wavelength, WavelengthSet};
 }
@@ -85,5 +85,5 @@ pub use request::{DirectionChoice, Transfer};
 pub use rwa::{Occupancy, Strategy};
 pub use sim::{JobArbitration, RingSimulator, StepReport, StepSchedule};
 pub use timing::TimingModel;
-pub use topology::{Direction, NodeId, RingArc, RingTopology};
+pub use topology::{Direction, NodeId, RingTopology};
 pub use wavelength::{Wavelength, WavelengthSet};

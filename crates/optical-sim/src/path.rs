@@ -12,8 +12,9 @@ pub struct LightPath {
     pub dst: NodeId,
     /// Propagation direction.
     pub direction: Direction,
-    /// Segment indices traversed, in order: the contiguous run of one
-    /// [`RingArc`], as [`LightPath::routed`] builds it.
+    /// Segment indices traversed, in order. They must form one contiguous
+    /// run around the ring, as [`LightPath::routed`] builds them: the
+    /// wavelength core reads a path as that run.
     pub segments: Vec<usize>,
 }
 
@@ -42,9 +43,9 @@ impl LightPath {
         self.segments.len()
     }
 
-    /// The arc the path occupies (see [`RingArc`]).
+    /// The arc the path occupies (see `RingArc`).
     #[must_use]
-    pub fn arc(&self) -> RingArc {
+    pub(crate) fn arc(&self) -> RingArc {
         let first = match self.direction {
             Direction::Clockwise => self.segments.first(),
             Direction::CounterClockwise => self.segments.last(),

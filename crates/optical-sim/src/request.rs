@@ -73,14 +73,9 @@ impl Transfer {
     }
 
     /// Validate against a topology and route to the arc the transfer
-    /// occupies, allocating nothing.
-    ///
-    /// Checks, in order: both endpoints on the ring, no self-transfer, at
-    /// least one lane. Zero-byte transfers are legal: setting up the
-    /// lightpath still costs the per-message overhead and propagation, it
-    /// just serializes no payload (mirrored by the electrical runner, which
-    /// skips empty flows but keeps the step's launch overhead).
-    pub fn route(&self, topo: &RingTopology) -> Result<RingArc> {
+    /// occupies, allocating nothing; the checks of [`Transfer::resolve`],
+    /// in its order.
+    pub(crate) fn route(&self, topo: &RingTopology) -> Result<RingArc> {
         topo.check_node(self.src)?;
         topo.check_node(self.dst)?;
         if self.src == self.dst {
@@ -96,8 +91,13 @@ impl Transfer {
         Ok(topo.arc(self.src, self.dst, direction))
     }
 
-    /// Validate as [`Transfer::route`] does and resolve to a routed
-    /// lightpath with its segment list.
+    /// Validate against a topology and resolve to a routed lightpath.
+    ///
+    /// Checks, in order: both endpoints on the ring, no self-transfer, at
+    /// least one lane. Zero-byte transfers are legal: setting up the
+    /// lightpath still costs the per-message overhead and propagation, it
+    /// just serializes no payload (mirrored by the electrical runner, which
+    /// skips empty flows but keeps the step's launch overhead).
     pub fn resolve(&self, topo: &RingTopology) -> Result<LightPath> {
         let arc = self.route(topo)?;
         Ok(LightPath::routed(topo, self.src, self.dst, arc.direction))

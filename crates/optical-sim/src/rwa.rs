@@ -12,8 +12,8 @@
 //!   index order on ties. This keeps untouched wavelengths free for future
 //!   wide stripes, which is the behaviour Best-Fit RWA aims for.
 //!
-//! Both heuristics run on one core, [`Occupancy::assign_arc`]. A ring route
-//! is always a contiguous [`RingArc`], so the core ORs the arc's segment
+//! Both heuristics run on one core, `Occupancy::assign_arc`. A ring route
+//! is always a contiguous `RingArc`, so the core ORs the arc's segment
 //! words into one busy mask, 64 wavelengths per word. First Fit takes the
 //! lowest free bits; Best Fit walks the free bits in its load order. Failed
 //! lanes are skipped as they come up, and the chosen lanes are occupied a
@@ -181,7 +181,7 @@ impl Occupancy {
     /// On success the lanes are recorded as busy and returned in assignment
     /// order. Fails with [`OpticalError::WavelengthsExhausted`] when fewer
     /// than `lanes` channels are free along the whole path. A thin wrapper
-    /// over [`Occupancy::assign_arc`].
+    /// over `Occupancy::assign_arc`.
     pub fn assign(
         &mut self,
         path: &LightPath,
@@ -206,7 +206,7 @@ impl Occupancy {
     /// order; otherwise the call fails with
     /// [`OpticalError::ZeroLanes`] or [`OpticalError::WavelengthsExhausted`]
     /// and the occupancy is unchanged.
-    pub fn assign_arc(
+    pub(crate) fn assign_arc(
         &mut self,
         arc: RingArc,
         lanes: usize,

@@ -242,11 +242,11 @@ impl RingSimulator {
     /// zero lanes), then [`OpticalError::WavelengthsExhausted`] carrying the
     /// failing step's index.
     ///
-    /// The loop allocates nothing per step or per transfer: one
-    /// [`Occupancy`] serves the whole run and is cleared at each step, each
-    /// transfer is routed to its [`crate::topology::RingArc`] and placed by
-    /// the arc core [`Occupancy::assign_arc`], whose busy mask and lane
-    /// list are buffers reused across the run.
+    /// The loop allocates nothing per step or per transfer. One
+    /// [`Occupancy`] serves the whole run and is cleared at each step.
+    /// Each transfer is routed to its `RingArc` and placed by the arc
+    /// core `Occupancy::assign_arc`; the busy mask and the lane list are
+    /// buffers reused across the run.
     pub fn run_stepped(
         &mut self,
         schedule: &StepSchedule,

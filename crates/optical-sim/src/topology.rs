@@ -59,20 +59,20 @@ impl Direction {
 /// of run ending just below `src`, so it starts at `dst`. The wavelength
 /// core works on arcs rather than segment lists, so routing a transfer
 /// allocates nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct RingArc {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RingArc {
     /// Waveguide the route travels on.
-    pub direction: Direction,
+    pub(crate) direction: Direction,
     /// Lowest segment of the arc, counting clockwise.
-    pub first: usize,
+    pub(crate) first: usize,
     /// Number of segments (the route's hop count).
-    pub hops: usize,
+    pub(crate) hops: usize,
 }
 
 impl RingArc {
     /// The arc's segment indices on a ring of `n` segments, in increasing
     /// clockwise order from `first`.
-    pub fn segments(self, n: usize) -> impl Iterator<Item = usize> {
+    pub(crate) fn segments(self, n: usize) -> impl Iterator<Item = usize> {
         debug_assert!(self.first < n.max(1) && self.hops <= n);
         let mut next = self.first;
         (0..self.hops).map(move |_| {
@@ -206,7 +206,7 @@ impl RingTopology {
     /// The arc a route from `src` to `dst` in `dir` occupies: the same
     /// segments as [`RingTopology::path_segments`], without the vector.
     #[must_use]
-    pub fn arc(&self, src: NodeId, dst: NodeId, dir: Direction) -> RingArc {
+    pub(crate) fn arc(&self, src: NodeId, dst: NodeId, dir: Direction) -> RingArc {
         let first = match dir {
             Direction::Clockwise => src.0,
             Direction::CounterClockwise => dst.0,
