@@ -88,7 +88,8 @@ impl Transfer {
             DirectionChoice::Shortest => topo.shortest_direction(self.src, self.dst),
             DirectionChoice::Forced(d) => d,
         };
-        Ok(topo.arc(self.src, self.dst, direction))
+        let hops = topo.hops(self.src, self.dst, direction);
+        Ok(RingArc::new(self.src, self.dst, direction, hops))
     }
 
     /// Validate against a topology and resolve to a routed lightpath.

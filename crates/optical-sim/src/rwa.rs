@@ -229,35 +229,21 @@ impl Occupancy {
         for (k, word) in mask.iter_mut().enumerate() {
             *word = !*word & lane_mask(self.wavelengths, k);
         }
-        // `mask` now holds the free lanes; narrow it to the picks.
-        let mut need = lanes;
-        match strategy {
-            Strategy::FirstFit => {
-                for (k, word) in mask.iter_mut().enumerate() {
-                    let free = std::mem::take(word);
-                    for l in word_lanes(k, free) {
-                        if need == 0 {
-                            break;
-                        }
-                        if !self.down[l.0] {
-                            *word |= 1 << (l.0 % 64);
-                            need -= 1;
-                        }
-                    }
+        // Narrow `mask` from the free lanes to the candidates: every working
+        // one for Best Fit, the lowest `lanes` working ones for First Fit.
+        let mut found = 0;
+        for (k, word) in mask.iter_mut().enumerate() {
+            for l in word_lanes(k, std::mem::take(word)) {
+                if strategy == Strategy::FirstFit && found == lanes {
+                    break;
                 }
-            }
-            Strategy::BestFit => {
-                for (k, word) in mask.iter_mut().enumerate() {
-                    for l in word_lanes(k, *word) {
-                        if self.down[l.0] {
-                            *word &= !(1 << (l.0 % 64));
-                        }
-                    }
-                    need = need.saturating_sub(word.count_ones() as usize);
+                if !self.down[l.0] {
+                    *word |= 1 << (l.0 % 64);
+                    found += 1;
                 }
             }
         }
-        if need > 0 {
+        if found < lanes {
             return Err(OpticalError::WavelengthsExhausted {
                 available: self.wavelengths,
                 requested: lanes,

@@ -70,6 +70,19 @@ pub(crate) struct RingArc {
 }
 
 impl RingArc {
+    /// The arc of a `hops`-segment route from `src` to `dst` in `direction`.
+    pub(crate) fn new(src: NodeId, dst: NodeId, direction: Direction, hops: usize) -> Self {
+        let first = match direction {
+            Direction::Clockwise => src.0,
+            Direction::CounterClockwise => dst.0,
+        };
+        Self {
+            direction,
+            first,
+            hops,
+        }
+    }
+
     /// The arc's segment indices on a ring of `n` segments, in increasing
     /// clockwise order from `first`.
     pub(crate) fn segments(self, n: usize) -> impl Iterator<Item = usize> {
@@ -138,15 +151,9 @@ impl RingTopology {
     #[must_use]
     pub fn hops(&self, src: NodeId, dst: NodeId, dir: Direction) -> usize {
         debug_assert!(src.0 < self.n && dst.0 < self.n);
-        let (from, to) = match dir {
-            Direction::Clockwise => (src.0, dst.0),
-            Direction::CounterClockwise => (dst.0, src.0),
-        };
-        // Both ids are below n, so one conditional add replaces `% n`.
-        if to >= from {
-            to - from
-        } else {
-            to + self.n - from
+        match dir {
+            Direction::Clockwise => (dst.0 + self.n - src.0) % self.n,
+            Direction::CounterClockwise => (src.0 + self.n - dst.0) % self.n,
         }
     }
 
@@ -201,21 +208,6 @@ impl RingTopology {
             }
         }
         segs
-    }
-
-    /// The arc a route from `src` to `dst` in `dir` occupies: the same
-    /// segments as [`RingTopology::path_segments`], without the vector.
-    #[must_use]
-    pub(crate) fn arc(&self, src: NodeId, dst: NodeId, dir: Direction) -> RingArc {
-        let first = match dir {
-            Direction::Clockwise => src.0,
-            Direction::CounterClockwise => dst.0,
-        };
-        RingArc {
-            direction: dir,
-            first,
-            hops: self.hops(src, dst, dir),
-        }
     }
 
     /// Iterate over the nodes strictly between `src` and `dst` in `dir`.
@@ -320,22 +312,6 @@ mod tests {
                 for d in Direction::BOTH {
                     let hops = t.hops(NodeId(a), NodeId(b), d);
                     assert_eq!(t.path_segments(NodeId(a), NodeId(b), d).len(), hops);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn arcs_cover_the_path_segments() {
-        let t = RingTopology::new(9);
-        for a in 0..9 {
-            for b in 0..9 {
-                for d in Direction::BOTH {
-                    let mut segs = t.path_segments(NodeId(a), NodeId(b), d);
-                    segs.sort_unstable();
-                    let mut arc: Vec<usize> = t.arc(NodeId(a), NodeId(b), d).segments(9).collect();
-                    arc.sort_unstable();
-                    assert_eq!(arc, segs, "{a} -> {b} {d:?}");
                 }
             }
         }
